@@ -18,7 +18,6 @@ from .derived import (
     predicted_splitting_spectrum,
     predicted_splitting_vertex_energies,
     splitting_factors,
-    splitting_graph,
 )
 from .graphs import (
     Graph,
@@ -29,11 +28,9 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    flat_index,
     format_edge_list,
     gnp_random_graph,
     graph_from_edge_list,
-    named_graph,
     parse_edge_list,
     parse_graph6,
     path_graph,

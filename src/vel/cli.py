@@ -1,10 +1,10 @@
 """Command-line interface: energy computation, derived-graph construction,
 and verification of the closed-form scaling laws.
 
-Exit codes: 0 success (all checks passed for verify), 1 verification
-failure, 2 usage or input error.  Floating-point values in JSON/CSV output
-carry 15 significant digits.  The VEL_EIG_TOL environment variable
-overrides the eigensolver tolerance (default 1e-12).
+Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
+or input error.  Floating-point values in JSON/CSV output carry 15
+significant digits.  The VEL_EIG_TOL environment variable overrides the
+eigensolver tolerance (default 1e-12).
 """
 
 from __future__ import annotations
@@ -13,19 +13,20 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .derived import m_shadow, m_splitting
 from .graphs import (
     Graph,
     GraphFormatError,
-    adjacency_matrix,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
     to_graph6,
     vertex_label,
 )
-from .spectral import DEFAULT_EIG_TOL, eigendecompose_symmetric, graph_energy, vertex_energies
+from .spectral import DEFAULT_EIG_TOL, graph_energy, graph_spectrum, vertex_energies
 from .verify import DEFAULT_TOL, run_suite
 
 SCHEMA_VERSION = "1.0"
@@ -43,10 +44,6 @@ class InputError(Exception):
 def _round15(x: float) -> float:
     """Round a float to 15 significant digits (the emitted precision)."""
     return float(f"{x:.15g}")
-
-
-def _fmt15(x: float) -> str:
-    return f"{_round15(x):.15g}"
 
 
 def _read_source(path: str) -> str:
@@ -92,12 +89,21 @@ def _record(command: str, inputs: dict, results: dict) -> dict:
     }
 
 
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, indent=2))
+def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterable],
+          text_lines: Iterable[str]) -> None:
+    """Print record as JSON, csv_rows as CSV under csv_header, or text_lines.
 
-
-def _emit_graph(g: Graph, fmt: str) -> str:
-    return to_graph6(g) + "\n" if fmt == "graph6" else format_edge_list(g)
+    CSV rows carry the record's rounded floats, so JSON and CSV values agree.
+    """
+    if output == "json":
+        print(json.dumps(record, indent=2))
+    elif output == "csv":
+        print(csv_header)
+        for row in csv_rows:
+            print(",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row))
+    else:
+        for line in text_lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -107,33 +113,20 @@ def _emit_graph(g: Graph, fmt: str) -> str:
 def _cmd_energy(args: argparse.Namespace) -> int:
     eig_tol = _eig_tol()
     g = _load_graph(args.input, args.format)
-    if g.n == 0:
-        energies: list[float] = []
-        total = 0.0
-    else:
-        spectrum = eigendecompose_symmetric(adjacency_matrix(g), eig_tol)
-        energies = [float(v) for v in vertex_energies(spectrum)]
-        total = graph_energy(spectrum)
+    spectrum = graph_spectrum(g, eig_tol)
+    energies = [_round15(v) for v in vertex_energies(spectrum)]
+    total = _round15(graph_energy(spectrum))
     record = _record(
         "energy",
         {"source": args.input, "format": args.format,
          "eig_tol": _round15(eig_tol)},
         {"n": g.n, "edge_count": g.num_edges,
-         "vertex_energies": [_round15(v) for v in energies],
-         "total_energy": _round15(total)},
+         "vertex_energies": energies, "total_energy": total},
     )
-    if args.output == "json":
-        _emit_json(record)
-    elif args.output == "csv":
-        print("vertex,energy")
-        for k, v in enumerate(energies):
-            print(f"{k},{_fmt15(v)}")
-        print(f"total,{_fmt15(total)}")
-    else:
-        print("vertex  energy")
-        for k, v in enumerate(energies):
-            print(f"{k:<6d}  {_fmt15(v)}")
-        print(f"total   {_fmt15(total)}")
+    _emit(args.output, record, "vertex,energy",
+          [*enumerate(energies), ("total", total)],
+          ["vertex  energy", *(f"{k:<6d}  {v:.15g}" for k, v in enumerate(energies)),
+           f"total   {total:.15g}"])
     return EXIT_OK
 
 
@@ -151,7 +144,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         label = vertex_label(flat, g.n)
         labels.append({"flat": flat, "copy": label.copy_index,
                        "base": label.base_index})
-    graph_text = _emit_graph(derived, args.emit)
+    graph_text = (to_graph6(derived) + "\n" if args.emit == "graph6"
+                  else format_edge_list(derived))
     record = _record(
         "derive",
         {"source": args.input, "format": args.format, "op": args.op,
@@ -159,18 +153,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         {"base_n": g.n, "n": derived.n, "edge_count": derived.num_edges,
          "graph": graph_text, "labels": labels},
     )
-    if args.output == "json":
-        _emit_json(record)
-    elif args.output == "csv":
-        print("flat,copy,base")
-        for row in labels:
-            print(f"{row['flat']},{row['copy']},{row['base']}")
-    else:
-        sys.stdout.write(graph_text)
-        print()
-        print("flat  copy  base")
-        for row in labels:
-            print(f"{row['flat']:<4d}  {row['copy']:<4d}  {row['base']}")
+    _emit(args.output, record, "flat,copy,base",
+          (row.values() for row in labels),
+          chain([graph_text, "flat  copy  base"],
+                (f"{row['flat']:<4d}  {row['copy']:<4d}  {row['base']}"
+                 for row in labels)))
     return EXIT_OK
 
 
@@ -182,54 +169,46 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     eig_tol = _eig_tol()
     if args.m_max < 0:
         raise InputError(f"--m-max must be >= 0, got {args.m_max}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     if not args.tol > 0.0:
         raise InputError(f"--tol must be positive, got {args.tol}")
     if args.corpus is not None and args.input is not None:
         raise InputError("give either an input graph or --corpus=default, not both")
     m_values = tuple(range(1, args.m_max + 1))
     if args.corpus is not None:
+        corpus = None
         inputs: dict = {"corpus": args.corpus, "seed": args.seed}
-        reports = run_suite(None, m_values, args.tol, args.seed, eig_tol=eig_tol)
     elif args.input is not None:
-        descriptor = "stdin" if args.input == "-" else args.input
         g = _load_graph(args.input, args.format)
+        corpus = [(g, "stdin" if args.input == "-" else args.input)]
         inputs = {"source": args.input, "format": args.format}
-        reports = run_suite([(g, descriptor)], m_values, args.tol, args.seed,
-                            eig_tol=eig_tol)
     else:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
+    reports = run_suite(corpus, m_values, args.tol, args.seed, eig_tol=eig_tol)
     inputs.update({"m_max": args.m_max, "tol": _round15(args.tol),
                    "eig_tol": _round15(eig_tol)})
     all_passed = all(r.passed for r in reports)
-
-    if args.output == "json":
-        payload = []
-        for r in reports:
-            row = {"claim_id": r.claim_id, "graph": r.graph_descriptor, "m": r.m,
-                   "max_abs_deviation": _round15(r.max_abs_deviation),
-                   "tolerance": _round15(r.tolerance), "passed": r.passed}
-            if r.per_vertex_deviations is not None:
-                row["per_vertex_deviations"] = [
-                    _round15(d) for d in r.per_vertex_deviations]
-            payload.append(row)
-        _emit_json(_record("verify", inputs,
-                           {"passed": all_passed, "report_count": len(reports),
-                            "reports": payload}))
-    elif args.output == "csv":
-        print("claim_id,graph,m,max_abs_deviation,tolerance,passed")
-        for r in reports:
-            print(f"{r.claim_id},{r.graph_descriptor},{r.m},"
-                  f"{_fmt15(r.max_abs_deviation)},{_fmt15(r.tolerance)},{r.passed}")
-    else:
-        width = max(len(r.graph_descriptor) for r in reports)
-        print(f"{'claim':<24}  {'graph':<{width}}  m  {'max_dev':>12}  "
-              f"{'tol':>9}  status")
-        for r in reports:
-            print(f"{r.claim_id:<24}  {r.graph_descriptor:<{width}}  {r.m}  "
-                  f"{r.max_abs_deviation:>12.3e}  {r.tolerance:>9.1e}  "
-                  f"{'PASS' if r.passed else 'FAIL'}")
-        passed = sum(r.passed for r in reports)
-        print(f"{passed}/{len(reports)} checks passed")
+    rows = []
+    for r in reports:
+        row = {"claim_id": r.claim_id, "graph": r.graph_descriptor, "m": r.m,
+               "max_abs_deviation": _round15(r.max_abs_deviation),
+               "tolerance": _round15(r.tolerance), "passed": r.passed}
+        if r.per_vertex_deviations is not None:
+            row["per_vertex_deviations"] = [_round15(d) for d in r.per_vertex_deviations]
+        rows.append(row)
+    record = _record("verify", inputs, {"passed": all_passed,
+                                        "report_count": len(reports), "reports": rows})
+    width = max(len(r.graph_descriptor) for r in reports)
+    _emit(args.output, record, "claim_id,graph,m,max_abs_deviation,tolerance,passed",
+          ((row["claim_id"], row["graph"], row["m"], row["max_abs_deviation"],
+            row["tolerance"], row["passed"]) for row in rows),
+          chain([f"{'claim':<24}  {'graph':<{width}}  m  {'max_dev':>12}  "
+                 f"{'tol':>9}  status"],
+                (f"{r.claim_id:<24}  {r.graph_descriptor:<{width}}  {r.m}  "
+                 f"{r.max_abs_deviation:>12.3e}  {r.tolerance:>9.1e}  "
+                 f"{'PASS' if r.passed else 'FAIL'}" for r in reports),
+                [f"{sum(r.passed for r in reports)}/{len(reports)} checks passed"]))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

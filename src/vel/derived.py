@@ -68,11 +68,6 @@ def m_splitting(g: Graph, m: int) -> Graph:
     return Graph(n * (m + 1), tuple(edges))
 
 
-def splitting_graph(g: Graph) -> Graph:
-    """Single-copy splitting: m_splitting(g, 1)."""
-    return m_splitting(g, 1)
-
-
 def m_shadow(g: Graph, m: int) -> Graph:
     """m-shadow of g on m*n vertices, m^2*|E(g)| edges (adjacency J_m (x) A)."""
     _check_m(m)

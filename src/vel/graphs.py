@@ -89,13 +89,6 @@ def vertex_label(flat: int, n: int) -> VertexLabel:
     return VertexLabel(copy, base)
 
 
-def flat_index(label: VertexLabel, n: int) -> int:
-    """Inverse of vertex_label."""
-    if n <= 0:
-        raise ValueError("base vertex count must be positive")
-    return label.copy_index * n + label.base_index
-
-
 def graph_from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Canonical Graph from (i, j) pairs; duplicates and orientations collapse."""
     return Graph(n, tuple((int(i), int(j)) for i, j in edges))
@@ -306,27 +299,3 @@ def gnp_random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
                   if rng.random() < p)
     return Graph(n, edges)
 
-
-_FAMILIES = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "star": (star_graph, 1),
-    "complete_bipartite": (complete_bipartite_graph, 2),
-}
-
-
-def named_graph(family: str, *sizes: int) -> Graph:
-    """Standard construction by family name.
-
-    path/cycle/complete/star take one size (total vertex count);
-    complete_bipartite takes the two side sizes.
-    """
-    try:
-        builder, arity = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; choose from {sorted(_FAMILIES)}") from None
-    if len(sizes) != arity:
-        raise ValueError(f"{family} takes {arity} size parameter(s), got {len(sizes)}")
-    return builder(*sizes)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import Graph, adjacency_matrix
+
 DEFAULT_EIG_TOL = 1e-12
 MAX_SWEEPS = 100
 
@@ -36,10 +38,6 @@ class Spectrum:
         if lam.ndim != 1 or u.shape != (lam.size, lam.size):
             raise ValueError(
                 f"inconsistent spectrum shapes {lam.shape} / {u.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
 
 def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
@@ -83,6 +81,13 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
     eigenvalues = np.diag(work).copy()
     order = np.argsort(eigenvalues, kind="stable")
     return Spectrum(eigenvalues[order], vecs[:, order])
+
+
+def graph_spectrum(g: Graph, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+    """Spectrum of g's adjacency matrix; empty (total energy 0) when n = 0."""
+    if g.n == 0:
+        return Spectrum(np.zeros(0), np.zeros((0, 0)))
+    return eigendecompose_symmetric(adjacency_matrix(g), tol)
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -148,7 +153,7 @@ def matrix_abs_diagonal(spectrum: Spectrum) -> np.ndarray:
     """
     lam = spectrum.eigenvalues
     u = spectrum.eigenvectors
-    n = spectrum.dim
+    n = lam.size
     acc = np.zeros((n, n))
     for i in range(n):
         col = u[:, i]

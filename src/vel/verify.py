@@ -9,6 +9,9 @@ Deviation conventions: entrywise vertex-energy and spectrum claims record
 the max absolute deviation; the total-energy and partition claims record
 the deviation scaled by max(1, |reference|), i.e. relative for large
 values.  A report passes exactly when its deviation is within tolerance.
+
+The six scaling claims are rows of one table, _SCALING_CLAIMS; run_suite
+evaluates it, and each verify_* function runs it on one graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .derived import (
 )
 from .graphs import (
     Graph,
-    adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -41,19 +43,9 @@ from .graphs import (
 from .spectral import (
     DEFAULT_EIG_TOL,
     Spectrum,
-    eigendecompose_symmetric,
     graph_energy,
+    graph_spectrum,
     vertex_energies,
-)
-
-CLAIM_IDS = (
-    "splitting_vertex_energy",
-    "splitting_total_energy",
-    "splitting_spectrum",
-    "shadow_vertex_energy",
-    "shadow_total_energy",
-    "shadow_spectrum",
-    "energy_partition",
 )
 
 DEFAULT_TOL = 1e-8
@@ -80,7 +72,7 @@ class VerificationReport:
     per_vertex_deviations: tuple[float, ...] | None = None
 
 
-def _report(claim_id: str, descriptor: str, m: int, deviation: float, tol: float,
+def _report(claim_id: str, descriptor: str, m: int, tol: float, deviation: float,
             per_vertex: tuple[float, ...] | None = None) -> VerificationReport:
     return VerificationReport(
         claim_id=claim_id,
@@ -93,120 +85,89 @@ def _report(claim_id: str, descriptor: str, m: int, deviation: float, tol: float
     )
 
 
-def _graph_spectrum(g: Graph, eig_tol: float) -> Spectrum:
-    return eigendecompose_symmetric(adjacency_matrix(g), eig_tol)
-
-
 def _scaled_deviation(value: float, reference: float) -> float:
     return abs(value - reference) / max(1.0, abs(reference))
 
 
+# claim id -> (construction, deviation rule, paths).  paths maps (base
+# spectrum, derived spectrum, m) to (numeric, predicted): the derived graph's
+# own eigensolve and the closed-form scaling of the base graph.  Rules:
+# "entrywise" max |numeric - predicted|, "per_vertex" the same keeping every
+# entry, "scaled" _scaled_deviation of the two totals.
+_SCALING_CLAIMS = {
+    "splitting_vertex_energy": ("m_splitting", "per_vertex", lambda b, d, m: (
+        vertex_energies(d),
+        predicted_splitting_vertex_energies(vertex_energies(b), m))),
+    "splitting_total_energy": ("m_splitting", "scaled", lambda b, d, m: (
+        graph_energy(d), math.sqrt(4.0 * m + 1.0) * graph_energy(b))),
+    "splitting_spectrum": ("m_splitting", "entrywise", lambda b, d, m: (
+        d.eigenvalues, predicted_splitting_spectrum(b.eigenvalues, m))),
+    "shadow_vertex_energy": ("m_shadow", "per_vertex", lambda b, d, m: (
+        vertex_energies(d),
+        predicted_shadow_vertex_energies(vertex_energies(b), m))),
+    "shadow_total_energy": ("m_shadow", "scaled", lambda b, d, m: (
+        graph_energy(d), m * graph_energy(b))),
+    "shadow_spectrum": ("m_shadow", "entrywise", lambda b, d, m: (
+        d.eigenvalues, predicted_shadow_spectrum(b.eigenvalues, m))),
+}
+CLAIM_IDS = (*_SCALING_CLAIMS, "energy_partition")
+
+
+def _deviation(rule: str, numeric, predicted) -> tuple[float, tuple[float, ...] | None]:
+    """(max deviation, per-vertex deviations or None) under a claim's rule."""
+    if rule == "scaled":
+        return _scaled_deviation(numeric, predicted), None
+    deviations = np.abs(numeric - predicted)
+    per_vertex = tuple(float(d) for d in deviations) if rule == "per_vertex" else None
+    return float(deviations.max(initial=0.0)), per_vertex
+
+
+def _claims(g: Graph, m: int, tol: float, eig_tol: float, descriptor: str,
+            *claim_ids: str) -> tuple[VerificationReport, ...]:
+    reports = run_suite([(g, descriptor)], (m,), tol, eig_tol=eig_tol)
+    return tuple(next(r for r in reports if r.claim_id == c) for c in claim_ids)
+
+
 def verify_splitting_theorem(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
                              eig_tol: float = DEFAULT_EIG_TOL,
-                             descriptor: str = "graph",
-                             base_spectrum: Spectrum | None = None,
-                             derived_spectrum: Spectrum | None = None,
-                             ) -> VerificationReport:
+                             descriptor: str = "graph") -> VerificationReport:
     """Check the splitting vertex-energy scaling law on g entrywise."""
-    if base_spectrum is None:
-        base_spectrum = _graph_spectrum(g, eig_tol)
-    if derived_spectrum is None:
-        derived_spectrum = _graph_spectrum(m_splitting(g, m), eig_tol)
-    predicted = predicted_splitting_vertex_energies(vertex_energies(base_spectrum), m)
-    numeric = vertex_energies(derived_spectrum)
-    deviations = np.abs(numeric - predicted)
-    return _report("splitting_vertex_energy", descriptor, m,
-                   float(deviations.max(initial=0.0)), tol,
-                   per_vertex=tuple(float(d) for d in deviations))
+    return _claims(g, m, tol, eig_tol, descriptor, "splitting_vertex_energy")[0]
 
 
 def verify_shadow_theorem(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
                           eig_tol: float = DEFAULT_EIG_TOL,
-                          descriptor: str = "graph",
-                          base_spectrum: Spectrum | None = None,
-                          derived_spectrum: Spectrum | None = None,
-                          ) -> VerificationReport:
+                          descriptor: str = "graph") -> VerificationReport:
     """Check that every shadow vertex inherits its base vertex's energy."""
-    if base_spectrum is None:
-        base_spectrum = _graph_spectrum(g, eig_tol)
-    if derived_spectrum is None:
-        derived_spectrum = _graph_spectrum(m_shadow(g, m), eig_tol)
-    predicted = predicted_shadow_vertex_energies(vertex_energies(base_spectrum), m)
-    numeric = vertex_energies(derived_spectrum)
-    deviations = np.abs(numeric - predicted)
-    return _report("shadow_vertex_energy", descriptor, m,
-                   float(deviations.max(initial=0.0)), tol,
-                   per_vertex=tuple(float(d) for d in deviations))
+    return _claims(g, m, tol, eig_tol, descriptor, "shadow_vertex_energy")[0]
 
 
 def verify_total_energy_factors(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
                                 eig_tol: float = DEFAULT_EIG_TOL,
                                 descriptor: str = "graph",
-                                base_spectrum: Spectrum | None = None,
-                                splitting_spectrum: Spectrum | None = None,
-                                shadow_spectrum: Spectrum | None = None,
                                 ) -> tuple[VerificationReport, VerificationReport]:
     """Check E(Spl_m(g)) = sqrt(4m+1)*E(g) and E(D_m(g)) = m*E(g).
 
     Both sides of each identity come from full numeric eigensolves; only the
     factor is closed-form.
     """
-    if base_spectrum is None:
-        base_spectrum = _graph_spectrum(g, eig_tol)
-    if splitting_spectrum is None:
-        splitting_spectrum = _graph_spectrum(m_splitting(g, m), eig_tol)
-    if shadow_spectrum is None:
-        shadow_spectrum = _graph_spectrum(m_shadow(g, m), eig_tol)
-    base_energy = graph_energy(base_spectrum)
-    root = math.sqrt(4.0 * m + 1.0)
-    splitting_report = _report(
-        "splitting_total_energy", descriptor, m,
-        _scaled_deviation(graph_energy(splitting_spectrum), root * base_energy), tol)
-    shadow_report = _report(
-        "shadow_total_energy", descriptor, m,
-        _scaled_deviation(graph_energy(shadow_spectrum), m * base_energy), tol)
-    return splitting_report, shadow_report
+    return _claims(g, m, tol, eig_tol, descriptor,
+                  "splitting_total_energy", "shadow_total_energy")
 
 
 def verify_spectrum_maps(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
                          eig_tol: float = DEFAULT_EIG_TOL,
                          descriptor: str = "graph",
-                         base_spectrum: Spectrum | None = None,
-                         splitting_spectrum: Spectrum | None = None,
-                         shadow_spectrum: Spectrum | None = None,
                          ) -> tuple[VerificationReport, VerificationReport]:
     """Compare sorted numeric derived spectra against the predicted multisets."""
-    if base_spectrum is None:
-        base_spectrum = _graph_spectrum(g, eig_tol)
-    if splitting_spectrum is None:
-        splitting_spectrum = _graph_spectrum(m_splitting(g, m), eig_tol)
-    if shadow_spectrum is None:
-        shadow_spectrum = _graph_spectrum(m_shadow(g, m), eig_tol)
-    base = base_spectrum.eigenvalues
-    splitting_dev = np.abs(
-        splitting_spectrum.eigenvalues - predicted_splitting_spectrum(base, m))
-    shadow_dev = np.abs(
-        shadow_spectrum.eigenvalues - predicted_shadow_spectrum(base, m))
-    return (
-        _report("splitting_spectrum", descriptor, m,
-                float(splitting_dev.max(initial=0.0)), tol),
-        _report("shadow_spectrum", descriptor, m,
-                float(shadow_dev.max(initial=0.0)), tol),
-    )
+    return _claims(g, m, tol, eig_tol, descriptor, "splitting_spectrum", "shadow_spectrum")
 
 
 def verify_energy_partition(g: Graph, tol: float = PARTITION_TOL, *,
                             eig_tol: float = DEFAULT_EIG_TOL,
-                            descriptor: str = "graph",
-                            spectrum: Spectrum | None = None,
-                            ) -> VerificationReport:
+                            descriptor: str = "graph") -> VerificationReport:
     """Check that the vertex energies of g sum to its total energy."""
-    if spectrum is None:
-        spectrum = _graph_spectrum(g, eig_tol)
-    total = graph_energy(spectrum)
-    partition_sum = float(np.sum(vertex_energies(spectrum)))
-    return _report("energy_partition", descriptor, 0,
-                   _scaled_deviation(partition_sum, total), tol)
+    return run_suite([(g, descriptor)], (), partition_tol=tol, eig_tol=eig_tol)[0]
 
 
 def default_corpus(seed: int = 42) -> list[tuple[Graph, str]]:
@@ -259,23 +220,16 @@ def run_suite(corpus: Sequence[tuple[Graph, str]] | None = None,
         raise ValueError("corpus must be nonempty")
     reports: list[VerificationReport] = []
     for g, descriptor in corpus:
-        base = _graph_spectrum(g, eig_tol)
-        reports.append(verify_energy_partition(
-            g, partition_tol, descriptor=descriptor, spectrum=base))
+        base = graph_spectrum(g, eig_tol)
+        partition_sum = float(np.sum(vertex_energies(base)))
+        reports.append(_report("energy_partition", descriptor, 0, partition_tol,
+                               _scaled_deviation(partition_sum, graph_energy(base))))
         for m in m_values:
-            splitting_spectrum = _graph_spectrum(m_splitting(g, m), eig_tol)
-            shadow_spectrum = _graph_spectrum(m_shadow(g, m), eig_tol)
-            reports.append(verify_splitting_theorem(
-                g, m, tol, descriptor=descriptor,
-                base_spectrum=base, derived_spectrum=splitting_spectrum))
-            reports.append(verify_shadow_theorem(
-                g, m, tol, descriptor=descriptor,
-                base_spectrum=base, derived_spectrum=shadow_spectrum))
-            reports.extend(verify_total_energy_factors(
-                g, m, tol, descriptor=descriptor, base_spectrum=base,
-                splitting_spectrum=splitting_spectrum, shadow_spectrum=shadow_spectrum))
-            reports.extend(verify_spectrum_maps(
-                g, m, tol, descriptor=descriptor, base_spectrum=base,
-                splitting_spectrum=splitting_spectrum, shadow_spectrum=shadow_spectrum))
+            derived = {"m_splitting": graph_spectrum(m_splitting(g, m), eig_tol),
+                       "m_shadow": graph_spectrum(m_shadow(g, m), eig_tol)}
+            for claim_id, (construction, rule, paths) in _SCALING_CLAIMS.items():
+                numeric, predicted = paths(base, derived[construction], m)
+                reports.append(_report(claim_id, descriptor, m, tol,
+                                       *_deviation(rule, numeric, predicted)))
     reports.sort(key=lambda r: (r.graph_descriptor, r.claim_id, r.m))
     return reports

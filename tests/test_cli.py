@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from vel.graphs import parse_edge_list, parse_graph6
 K2_EDGELIST = "2 1\n0 1\n"
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
 EMPTY3_EDGELIST = "3 0\n"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -63,6 +65,14 @@ def test_energy_empty_graph(tmp_path, capsys):
     record = json.loads(out)
     assert record["results"]["vertex_energies"] == [0.0, 0.0, 0.0]
     assert record["results"]["total_energy"] == 0.0
+
+
+def test_energy_zero_vertex_graph(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out, err = run_cli(["energy", "--output=json"], capsys)
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["vertex_energies"] == [] and results["total_energy"] == 0.0
 
 
 def test_energy_csv_matches_json(p3_file, capsys):
@@ -222,6 +232,24 @@ def test_verify_empty_graph(tmp_path, capsys):
         assert row["max_abs_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("fmt,text", [("edgelist", "0 0\n"), ("graph6", "?\n")],
+                         ids=["edgelist", "graph6"])
+def test_verify_zero_vertex_graph(fmt, text, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(
+        ["verify", "-", f"--format={fmt}", "--m-max=3", "--output=json"], capsys)
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["report_count"] == 1 + 6 * 3
+    assert all(row["passed"] for row in results["reports"])
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run_cli(["verify", "--corpus=default", "--seed=-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+
+
 def test_verify_exit_one_on_failure(k2_file, capsys):
     code, out, _ = run_cli(
         ["verify", k2_file, "--m-max=1", "--tol=1e-300", "--output=json"], capsys)
@@ -299,3 +327,27 @@ def test_eig_tol_env_nonpositive(monkeypatch, k2_file, capsys):
     code, _, err = run_cli(["energy", k2_file], capsys)
     assert code == 2
     assert "positive" in err
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+# ---------------------------------------------------------------------------
+
+# case -> (argv without --output, stdin); tests/golden/<case>.<output> holds
+# the exact stdout.  The verify case is edgeless, so its deviations are 0.
+GOLDEN_CASES = {
+    "energy_p3": (["energy", "-"], P3_EDGELIST),
+    "derive_splitting_p3_m2": (["derive", "-", "--op=splitting", "--m=2"], P3_EDGELIST),
+    "derive_shadow_p3_m2": (["derive", "-", "--op=shadow", "--m=2"], P3_EDGELIST),
+    "verify_empty3_m2": (["verify", "-", "--m-max=2"], EMPTY3_EDGELIST),
+}
+
+
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_stdout_matches_golden(case, output, monkeypatch, capsys):
+    argv, stdin = GOLDEN_CASES[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli([*argv, f"--output={output}"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{case}.{output}").read_text(encoding="utf-8")

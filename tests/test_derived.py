@@ -13,7 +13,6 @@ from vel.derived import (
     predicted_splitting_spectrum,
     predicted_splitting_vertex_energies,
     splitting_factors,
-    splitting_graph,
 )
 from vel.graphs import (
     adjacency_matrix,
@@ -120,13 +119,8 @@ def test_splitting_empty_graph():
     assert m_splitting(empty_graph(3), 2) == empty_graph(9)
 
 
-def test_splitting_graph_is_m1():
-    for g in SAMPLE_GRAPHS:
-        assert splitting_graph(g) == m_splitting(g, 1)
-
-
 def test_splitting_c4_counts():
-    g = splitting_graph(cycle_graph(4))
+    g = m_splitting(cycle_graph(4), 1)
     assert g.n == 8 and g.num_edges == 12
 
 
