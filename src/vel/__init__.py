@@ -27,10 +27,8 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     format_edge_list,
     gnp_random_graph,
-    graph_from_edge_list,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -52,11 +50,6 @@ from .verify import (
     VerificationReport,
     default_corpus,
     run_suite,
-    verify_energy_partition,
-    verify_shadow_theorem,
-    verify_spectrum_maps,
-    verify_splitting_theorem,
-    verify_total_energy_factors,
 )
 
 __version__ = "0.1.0"

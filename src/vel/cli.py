@@ -4,7 +4,9 @@ and verification of the closed-form scaling laws.
 Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
 or input error.  Floating-point values in JSON/CSV output carry 15
 significant digits.  The VEL_EIG_TOL environment variable overrides the
-eigensolver tolerance (default 1e-12).
+eigensolver tolerance (default 1e-12, range [1e-16, 1e-8]); verify's --tol
+lies in (0, 1e-4].  energy and verify refuse a dense dimension above 4096
+(spectral.MAX_DIM); for verify it is (m-max + 1) * n, the splitting graph's.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ from .graphs import (
     to_graph6,
     vertex_label,
 )
-from .spectral import DEFAULT_EIG_TOL, graph_energy, graph_spectrum, vertex_energies
-from .verify import DEFAULT_TOL, run_suite
+from .spectral import DEFAULT_EIG_TOL, MAX_DIM, graph_energy, graph_spectrum, vertex_energies
+from .verify import DEFAULT_TOL, default_corpus, run_suite
 
 SCHEMA_VERSION = "1.0"
 EIG_TOL_ENV = "VEL_EIG_TOL"
+# below unit roundoff the solver's stop test is unreachable; above verify's
+# default tolerance the solve cannot back a certification
+EIG_TOL_RANGE = (1e-16, 1e-8)
+# every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
+MAX_TOL = 1e-4
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,9 +82,16 @@ def _eig_tol() -> float:
         value = float(raw)
     except ValueError:
         raise InputError(f"invalid {EIG_TOL_ENV}={raw!r}: not a number") from None
-    if not value > 0.0:
-        raise InputError(f"invalid {EIG_TOL_ENV}={raw!r}: must be positive")
+    low, high = EIG_TOL_RANGE
+    if not low <= value <= high:
+        raise InputError(f"invalid {EIG_TOL_ENV}={raw!r}: must be positive, "
+                         f"within [{low:g}, {high:g}]")
     return value
+
+
+def _check_dim(dim: int, what: str) -> None:
+    if dim > MAX_DIM:
+        raise InputError(f"{what} has dimension {dim}, above the dense limit {MAX_DIM}")
 
 
 def _record(command: str, inputs: dict, results: dict) -> dict:
@@ -113,6 +127,7 @@ def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterabl
 def _cmd_energy(args: argparse.Namespace) -> int:
     eig_tol = _eig_tol()
     g = _load_graph(args.input, args.format)
+    _check_dim(g.n, "graph")
     spectrum = graph_spectrum(g, eig_tol)
     energies = [_round15(v) for v in vertex_energies(spectrum)]
     total = _round15(graph_energy(spectrum))
@@ -171,13 +186,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"--m-max must be >= 0, got {args.m_max}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    if not args.tol > 0.0:
-        raise InputError(f"--tol must be positive, got {args.tol}")
+    if not 0.0 < args.tol <= MAX_TOL:
+        raise InputError(f"--tol must lie in (0, {MAX_TOL:g}], got {args.tol}")
     if args.corpus is not None and args.input is not None:
         raise InputError("give either an input graph or --corpus=default, not both")
     m_values = tuple(range(1, args.m_max + 1))
     if args.corpus is not None:
-        corpus = None
+        corpus = default_corpus(args.seed)
         inputs: dict = {"corpus": args.corpus, "seed": args.seed}
     elif args.input is not None:
         g = _load_graph(args.input, args.format)
@@ -185,7 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs = {"source": args.input, "format": args.format}
     else:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
-    reports = run_suite(corpus, m_values, args.tol, args.seed, eig_tol=eig_tol)
+    _check_dim((args.m_max + 1) * max(graph.n for graph, _ in corpus), "splitting graph")
+    reports = run_suite(corpus, m_values, args.tol, eig_tol=eig_tol)
     inputs.update({"m_max": args.m_max, "tol": _round15(args.tol),
                    "eig_tol": _round15(eig_tol)})
     all_passed = all(r.passed for r in reports)

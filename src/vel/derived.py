@@ -87,7 +87,6 @@ def predicted_splitting_spectrum(base_eigenvalues, m: int) -> np.ndarray:
     the remaining (m-1)*n eigenvalues of the (m+1)n-dimensional adjacency
     matrix are zero.
     """
-    _check_m(m)
     lam = np.asarray(base_eigenvalues, dtype=float)
     f = splitting_factors(m)
     values = np.concatenate([
@@ -113,7 +112,6 @@ def predicted_splitting_vertex_energies(base_energies, m: int) -> np.ndarray:
     2/sqrt(4m+1); summed over all vertices this multiplies the total energy
     by exactly sqrt(4m+1).
     """
-    _check_m(m)
     base = np.asarray(base_energies, dtype=float)
     f = splitting_factors(m)
     return np.concatenate([f.original_factor * base] + [f.copy_factor * base] * m)

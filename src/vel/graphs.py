@@ -16,7 +16,6 @@ Two text formats are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,13 +56,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class VertexLabel:
@@ -87,11 +79,6 @@ def vertex_label(flat: int, n: int) -> VertexLabel:
         raise ValueError("flat index must be nonnegative")
     copy, base = divmod(flat, n)
     return VertexLabel(copy, base)
-
-
-def graph_from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Canonical Graph from (i, j) pairs; duplicates and orientations collapse."""
-    return Graph(n, tuple((int(i), int(j)) for i, j in edges))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -252,10 +239,6 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # named families
 # ---------------------------------------------------------------------------
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, ())
-
 
 def path_graph(n: int) -> Graph:
     if n < 1:

@@ -16,6 +16,8 @@ from .graphs import Graph, adjacency_matrix
 
 DEFAULT_EIG_TOL = 1e-12
 MAX_SWEEPS = 100
+# largest dense dimension solved: about five n x n float64 arrays, ~640 MiB
+MAX_DIM = 4096
 
 # energies are provably nonnegative; anything below is solver noise
 NEGATIVE_CLAMP = 1e-12
@@ -48,9 +50,9 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
     falls below tol * ||a||_F, at most MAX_SWEEPS sweeps.  Eigenvectors are
     the accumulated rotations, so orthonormality is structural.
 
-    Raises ValueError for non-square, empty, or non-symmetric input and
-    JacobiConvergenceError on non-convergence (which cannot occur for
-    finite symmetric input).
+    Raises ValueError for non-square, empty, or non-symmetric input or a
+    tol outside (0, inf), and JacobiConvergenceError on non-convergence
+    (which cannot occur for finite symmetric input).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,8 +62,8 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
         raise ValueError("matrix dimension must be at least 1")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     work = a.copy()
     vecs = np.eye(n)

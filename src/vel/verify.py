@@ -10,8 +10,8 @@ the max absolute deviation; the total-energy and partition claims record
 the deviation scaled by max(1, |reference|), i.e. relative for large
 values.  A report passes exactly when its deviation is within tolerance.
 
-The six scaling claims are rows of one table, _SCALING_CLAIMS; run_suite
-evaluates it, and each verify_* function runs it on one graph.
+The six scaling claims are rows of one table, _SCALING_CLAIMS, which
+run_suite, the one verification entry point, evaluates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     gnp_random_graph,
-    graph_from_edge_list,
     path_graph,
     star_graph,
 )
@@ -122,54 +121,6 @@ def _deviation(rule: str, numeric, predicted) -> tuple[float, tuple[float, ...] 
     return float(deviations.max(initial=0.0)), per_vertex
 
 
-def _claims(g: Graph, m: int, tol: float, eig_tol: float, descriptor: str,
-            *claim_ids: str) -> tuple[VerificationReport, ...]:
-    reports = run_suite([(g, descriptor)], (m,), tol, eig_tol=eig_tol)
-    return tuple(next(r for r in reports if r.claim_id == c) for c in claim_ids)
-
-
-def verify_splitting_theorem(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
-                             eig_tol: float = DEFAULT_EIG_TOL,
-                             descriptor: str = "graph") -> VerificationReport:
-    """Check the splitting vertex-energy scaling law on g entrywise."""
-    return _claims(g, m, tol, eig_tol, descriptor, "splitting_vertex_energy")[0]
-
-
-def verify_shadow_theorem(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
-                          eig_tol: float = DEFAULT_EIG_TOL,
-                          descriptor: str = "graph") -> VerificationReport:
-    """Check that every shadow vertex inherits its base vertex's energy."""
-    return _claims(g, m, tol, eig_tol, descriptor, "shadow_vertex_energy")[0]
-
-
-def verify_total_energy_factors(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
-                                eig_tol: float = DEFAULT_EIG_TOL,
-                                descriptor: str = "graph",
-                                ) -> tuple[VerificationReport, VerificationReport]:
-    """Check E(Spl_m(g)) = sqrt(4m+1)*E(g) and E(D_m(g)) = m*E(g).
-
-    Both sides of each identity come from full numeric eigensolves; only the
-    factor is closed-form.
-    """
-    return _claims(g, m, tol, eig_tol, descriptor,
-                  "splitting_total_energy", "shadow_total_energy")
-
-
-def verify_spectrum_maps(g: Graph, m: int, tol: float = DEFAULT_TOL, *,
-                         eig_tol: float = DEFAULT_EIG_TOL,
-                         descriptor: str = "graph",
-                         ) -> tuple[VerificationReport, VerificationReport]:
-    """Compare sorted numeric derived spectra against the predicted multisets."""
-    return _claims(g, m, tol, eig_tol, descriptor, "splitting_spectrum", "shadow_spectrum")
-
-
-def verify_energy_partition(g: Graph, tol: float = PARTITION_TOL, *,
-                            eig_tol: float = DEFAULT_EIG_TOL,
-                            descriptor: str = "graph") -> VerificationReport:
-    """Check that the vertex energies of g sum to its total energy."""
-    return run_suite([(g, descriptor)], (), partition_tol=tol, eig_tol=eig_tol)[0]
-
-
 def default_corpus(seed: int = 42) -> list[tuple[Graph, str]]:
     """Deterministic verification corpus.
 
@@ -193,36 +144,30 @@ def default_corpus(seed: int = 42) -> list[tuple[Graph, str]]:
     for n in (5, 8, 12):
         for sample in range(3):
             corpus.append((gnp_random_graph(n, 0.5, rng), f"G({n},0.5)#{sample}"))
-    corpus.append((graph_from_edge_list(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), "K3+P3"))
-    corpus.append((graph_from_edge_list(4, [(0, 1), (1, 2)]), "P3+isolated"))
+    corpus.append((Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5))), "K3+P3"))
+    corpus.append((Graph(4, ((0, 1), (1, 2))), "P3+isolated"))
     return corpus
 
 
-def run_suite(corpus: Sequence[tuple[Graph, str]] | None = None,
+def run_suite(corpus: Sequence[tuple[Graph, str]],
               m_values: Sequence[int] = (1, 2, 3, 4),
               tol: float = DEFAULT_TOL,
-              seed: int = 42,
               *,
-              partition_tol: float = PARTITION_TOL,
               eig_tol: float = DEFAULT_EIG_TOL,
               ) -> list[VerificationReport]:
     """Run every check over corpus x m_values.
 
-    corpus=None builds default_corpus(seed); otherwise seed is unused.
     Failing comparisons are recorded in their reports, never raised.  The
     result is sorted by (graph descriptor, claim, m), so identical inputs
     produce identical report lists.
     """
-    if corpus is None:
-        corpus = default_corpus(seed)
     if not corpus:
         raise ValueError("corpus must be nonempty")
     reports: list[VerificationReport] = []
     for g, descriptor in corpus:
         base = graph_spectrum(g, eig_tol)
         partition_sum = float(np.sum(vertex_energies(base)))
-        reports.append(_report("energy_partition", descriptor, 0, partition_tol,
+        reports.append(_report("energy_partition", descriptor, 0, PARTITION_TOL,
                                _scaled_deviation(partition_sum, graph_energy(base))))
         for m in m_values:
             derived = {"m_splitting": graph_spectrum(m_splitting(g, m), eig_tol),

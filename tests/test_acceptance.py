@@ -20,7 +20,7 @@ from vel.derived import (
     predicted_splitting_spectrum,
     predicted_splitting_vertex_energies,
 )
-from vel.graphs import Graph, adjacency_matrix, graph_from_edge_list
+from vel.graphs import Graph, adjacency_matrix
 from vel.spectral import (
     Spectrum,
     eigendecompose_symmetric,
@@ -82,7 +82,7 @@ def test_criterion_1_splitting_vertex_energy_law(corpus_cache):
 
 
 def test_criterion_2_splitting_m1_energies_of_k2():
-    k2 = graph_from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     numeric = vertex_energies(_solve(m_splitting(k2, 1)))
     expected = np.array([3 / SQRT5, 3 / SQRT5, 2 / SQRT5, 2 / SQRT5])
     worst = float(np.max(np.abs(numeric - expected)))
@@ -188,13 +188,13 @@ def test_criterion_8_eigensolver_certification(corpus_cache):
 
 
 def test_criterion_9_known_exact_spectra():
-    k2 = graph_from_edge_list(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     phi = (1.0 + SQRT5) / 2.0
     cases = {
-        "P3": (graph_from_edge_list(3, [(0, 1), (1, 2)]), [-SQRT2, 0.0, SQRT2]),
-        "C4": (graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        "P3": (Graph(3, [(0, 1), (1, 2)]), [-SQRT2, 0.0, SQRT2]),
+        "C4": (Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
                [-2.0, 0.0, 0.0, 2.0]),
-        "K1,3": (graph_from_edge_list(4, [(0, 1), (0, 2), (0, 3)]),
+        "K1,3": (Graph(4, [(0, 1), (0, 2), (0, 3)]),
                  [-SQRT3, 0.0, 0.0, SQRT3]),
         "Spl1(K2)": (m_splitting(k2, 1), [-phi, -(phi - 1.0), phi - 1.0, phi]),
     }

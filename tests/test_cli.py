@@ -7,6 +7,7 @@ import pytest
 
 from vel.cli import main
 from vel.graphs import parse_edge_list, parse_graph6
+from vel.verify import default_corpus, run_suite
 
 K2_EDGELIST = "2 1\n0 1\n"
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
@@ -250,6 +251,24 @@ def test_verify_rejects_negative_seed(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "inf", "1e-3"])
+def test_verify_rejects_tol_out_of_range(tol, k2_file, capsys):
+    code, out, err = run_cli(["verify", k2_file, "--m-max=1", f"--tol={tol}"], capsys)
+    assert (code, out) == (2, "")
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv,stdin,dim", [
+    (["energy"], "200000 0\n", 200000),
+    (["verify", "-", "--m-max=3000"], K2_EDGELIST, 3001 * 2),
+], ids=["energy", "verify"])
+def test_rejects_dimension_above_limit(argv, stdin, dim, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert str(dim) in err and "4096" in err and "Traceback" not in err
+
+
 def test_verify_exit_one_on_failure(k2_file, capsys):
     code, out, _ = run_cli(
         ["verify", k2_file, "--m-max=1", "--tol=1e-300", "--output=json"], capsys)
@@ -304,6 +323,21 @@ def test_verify_corpus_seed_in_inputs(capsys):
                for r in record["results"]["reports"])
 
 
+def test_verify_corpus_seed_reaches_corpus(capsys):
+    def rows(reports):
+        return [[r.claim_id, r.graph_descriptor, r.m, float(f"{r.max_abs_deviation:.15g}"),
+                 float(f"{r.tolerance:.15g}"), r.passed] for r in reports]
+
+    code, out, _ = run_cli(["verify", "--corpus=default", "--seed=9", "--m-max=1",
+                            "--output=json"], capsys)
+    assert code == 0
+    emitted = [[row[k] for k in ("claim_id", "graph", "m", "max_abs_deviation",
+                                 "tolerance", "passed")]
+               for row in json.loads(out)["results"]["reports"]]
+    assert emitted == rows(run_suite(default_corpus(9), (1,)))
+    assert emitted != rows(run_suite(default_corpus(42), (1,)))
+
+
 # ---------------------------------------------------------------------------
 # environment
 # ---------------------------------------------------------------------------
@@ -322,11 +356,13 @@ def test_eig_tol_env_invalid(monkeypatch, k2_file, capsys):
     assert "VEL_EIG_TOL" in err
 
 
-def test_eig_tol_env_nonpositive(monkeypatch, k2_file, capsys):
-    monkeypatch.setenv("VEL_EIG_TOL", "-1e-9")
+@pytest.mark.parametrize("value", ["-1e-9", "inf", "1e300", "1e-7", "1e-17"])
+def test_eig_tol_env_nonpositive(value, monkeypatch, k2_file, capsys):
+    monkeypatch.setenv("VEL_EIG_TOL", value)
     code, _, err = run_cli(["energy", k2_file], capsys)
     assert code == 2
     assert "positive" in err
+    assert "VEL_EIG_TOL" in err and "[1e-16, 1e-08]" in err
 
 
 # ---------------------------------------------------------------------------

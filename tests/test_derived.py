@@ -15,12 +15,11 @@ from vel.derived import (
     splitting_factors,
 )
 from vel.graphs import (
+    Graph,
     adjacency_matrix,
     complete_graph,
     cycle_graph,
-    empty_graph,
     gnp_random_graph,
-    graph_from_edge_list,
     path_graph,
     star_graph,
 )
@@ -28,7 +27,7 @@ from vel.graphs import (
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
-K2 = graph_from_edge_list(2, [(0, 1)])
+K2 = Graph(2, [(0, 1)])
 
 SAMPLE_GRAPHS = [
     K2,
@@ -38,8 +37,8 @@ SAMPLE_GRAPHS = [
     cycle_graph(5),
     complete_graph(4),
     star_graph(5),
-    empty_graph(3),
-    graph_from_edge_list(4, [(0, 1), (1, 2)]),
+    Graph(3),
+    Graph(4, [(0, 1), (1, 2)]),
     gnp_random_graph(7, 0.5, np.random.default_rng(13)),
 ]
 
@@ -116,7 +115,7 @@ def test_splitting_p3():
 
 
 def test_splitting_empty_graph():
-    assert m_splitting(empty_graph(3), 2) == empty_graph(9)
+    assert m_splitting(Graph(3), 2) == Graph(9)
 
 
 def test_splitting_c4_counts():

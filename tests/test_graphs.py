@@ -10,10 +10,8 @@ from vel.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     format_edge_list,
     gnp_random_graph,
-    graph_from_edge_list,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -28,50 +26,46 @@ from vel.graphs import (
 # ---------------------------------------------------------------------------
 
 def test_from_edge_list_k2():
-    g = graph_from_edge_list(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert g.n == 2
     assert g.edges == ((0, 1),)
 
 
 def test_from_edge_list_p3():
-    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.num_edges == 2
 
 
 def test_from_edge_list_collapses_orientations_and_duplicates():
-    g = graph_from_edge_list(4, [(0, 1), (1, 0), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 0), (2, 3)])
     assert g.edges == ((0, 1), (2, 3))
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        graph_from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        graph_from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="out of range"):
-        graph_from_edge_list(3, [(-1, 2)])
+        Graph(3, [(-1, 2)])
 
 
 def test_refeeding_edges_is_idempotent():
-    g = graph_from_edge_list(5, [(3, 1), (0, 4), (1, 3), (2, 0)])
-    assert graph_from_edge_list(g.n, g.edges) == g
+    g = Graph(5, [(3, 1), (0, 4), (1, 3), (2, 0)])
+    assert Graph(g.n, g.edges) == g
 
 
 def test_graph_equality_ignores_input_order():
-    assert graph_from_edge_list(3, [(2, 1), (0, 1)]) == \
-        graph_from_edge_list(3, [(0, 1), (1, 2)])
+    assert Graph(3, [(2, 1), (0, 1)]) == \
+        Graph(3, [(0, 1), (1, 2)])
 
 
 def test_negative_vertex_count_rejected():
     with pytest.raises(ValueError):
         Graph(-1)
-
-
-def test_degrees():
-    assert star_graph(4).degrees() == [3, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +74,12 @@ def test_degrees():
 
 def test_adjacency_k2():
     np.testing.assert_array_equal(
-        adjacency_matrix(graph_from_edge_list(2, [(0, 1)])),
+        adjacency_matrix(Graph(2, [(0, 1)])),
         [[0, 1], [1, 0]])
 
 
 def test_adjacency_empty_graph():
-    np.testing.assert_array_equal(adjacency_matrix(empty_graph(3)), np.zeros((3, 3)))
+    np.testing.assert_array_equal(adjacency_matrix(Graph(3)), np.zeros((3, 3)))
 
 
 def test_adjacency_p3():
@@ -110,7 +104,7 @@ def test_adjacency_symmetric_zero_diagonal(g):
 
 def test_parse_graph6_k2():
     # 'A_' decoded by hand: header 'A' = n 2, body '_' = bit 100000
-    assert parse_graph6("A_") == graph_from_edge_list(2, [(0, 1)])
+    assert parse_graph6("A_") == Graph(2, [(0, 1)])
 
 
 def test_parse_graph6_triangle():
@@ -119,7 +113,7 @@ def test_parse_graph6_triangle():
 
 
 def test_parse_graph6_empty():
-    assert parse_graph6("?") == empty_graph(0)
+    assert parse_graph6("?") == Graph(0)
 
 
 def test_parse_graph6_optional_prefix():
@@ -152,8 +146,8 @@ def test_parse_graph6_rejects_empty():
 
 
 @pytest.mark.parametrize("g", [
-    empty_graph(0), empty_graph(1), empty_graph(7),
-    graph_from_edge_list(2, [(0, 1)]),
+    Graph(0), Graph(1), Graph(7),
+    Graph(2, [(0, 1)]),
     path_graph(5), cycle_graph(6), complete_graph(6),
     star_graph(5), complete_bipartite_graph(3, 4),
 ])
@@ -254,7 +248,7 @@ def test_gnp_random_graph_deterministic():
     a = gnp_random_graph(10, 0.5, np.random.default_rng(3))
     b = gnp_random_graph(10, 0.5, np.random.default_rng(3))
     assert a == b
-    assert gnp_random_graph(6, 0.0, np.random.default_rng(0)) == empty_graph(6)
+    assert gnp_random_graph(6, 0.0, np.random.default_rng(0)) == Graph(6)
     assert gnp_random_graph(6, 1.0, np.random.default_rng(0)) == complete_graph(6)
 
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vel.graphs import (
+    Graph,
     adjacency_matrix,
     complete_graph,
     cycle_graph,
-    empty_graph,
     gnp_random_graph,
-    graph_from_edge_list,
     path_graph,
     star_graph,
 )
@@ -43,7 +42,7 @@ def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return graph_from_edge_list(n, [p for p, keep in zip(pairs, mask) if keep])
+    return Graph(n, [p for p, keep in zip(pairs, mask) if keep])
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def graphs(draw, max_n=8):
 # ---------------------------------------------------------------------------
 
 def test_k2_eigenvalues():
-    s = graph_spectrum(graph_from_edge_list(2, [(0, 1)]))
+    s = graph_spectrum(Graph(2, [(0, 1)]))
     np.testing.assert_allclose(s.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
@@ -93,9 +92,10 @@ def test_rejects_empty_matrix():
         eigendecompose_symmetric(np.zeros((0, 0)))
 
 
-def test_rejects_bad_tol():
+@pytest.mark.parametrize("tol", [0.0, math.inf])
+def test_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
-        eigendecompose_symmetric(np.eye(2), tol=0.0)
+        eigendecompose_symmetric(np.eye(2), tol=tol)
 
 
 @pytest.mark.parametrize("g", [
@@ -136,7 +136,7 @@ def test_spectrum_shape_validation():
 
 def test_vertex_energies_k2():
     np.testing.assert_allclose(
-        vertex_energies(graph_spectrum(graph_from_edge_list(2, [(0, 1)]))),
+        vertex_energies(graph_spectrum(Graph(2, [(0, 1)]))),
         [1.0, 1.0], atol=1e-12)
 
 
@@ -159,7 +159,7 @@ def test_vertex_energies_nonnegative():
 
 
 def test_isolated_vertex_has_zero_energy():
-    g = graph_from_edge_list(4, [(0, 1), (1, 2)])  # vertex 3 isolated
+    g = Graph(4, [(0, 1), (1, 2)])  # vertex 3 isolated
     assert abs(vertex_energies(graph_spectrum(g))[3]) <= 1e-12
 
 
@@ -171,7 +171,7 @@ def test_vertex_transitive_graphs_have_equal_energies(g):
 
 
 def test_graph_energy_values():
-    assert graph_energy(graph_spectrum(graph_from_edge_list(2, [(0, 1)]))) == \
+    assert graph_energy(graph_spectrum(Graph(2, [(0, 1)]))) == \
         pytest.approx(2.0, abs=1e-11)
     assert graph_energy(graph_spectrum(path_graph(3))) == \
         pytest.approx(2.0 * SQRT2, abs=1e-11)
@@ -193,7 +193,7 @@ def test_partition_identity(g):
 
 def test_abs_diagonal_k2():
     np.testing.assert_allclose(
-        matrix_abs_diagonal(graph_spectrum(graph_from_edge_list(2, [(0, 1)]))),
+        matrix_abs_diagonal(graph_spectrum(Graph(2, [(0, 1)]))),
         [1.0, 1.0], atol=1e-12)
 
 
@@ -218,7 +218,7 @@ def test_abs_diagonal_agrees_with_vertex_energies(g):
 
 
 @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4), star_graph(4),
-                               empty_graph(3)])
+                               Graph(3)])
 def test_abs_diagonal_invariant_across_eigenbases(g):
     # degenerate spectra: the Jacobi and numpy eigenbases differ inside
     # eigenspaces, but the |A| diagonal must not

@@ -3,25 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vel.graphs import (
-    cycle_graph,
-    empty_graph,
-    graph_from_edge_list,
-    path_graph,
-    star_graph,
-)
-from vel.verify import (
-    CLAIM_IDS,
-    default_corpus,
-    run_suite,
-    verify_energy_partition,
-    verify_shadow_theorem,
-    verify_spectrum_maps,
-    verify_splitting_theorem,
-    verify_total_energy_factors,
-)
+from vel.graphs import Graph, cycle_graph, path_graph, star_graph
+from vel.verify import CLAIM_IDS, default_corpus, run_suite
 
-K2 = graph_from_edge_list(2, [(0, 1)])
+K2 = Graph(2, [(0, 1)])
 SQRT5 = math.sqrt(5.0)
 
 SMALL_CORPUS = [
@@ -29,9 +14,15 @@ SMALL_CORPUS = [
     (path_graph(3), "P3"),
     (cycle_graph(4), "C4"),
     (star_graph(4), "K1,3"),
-    (empty_graph(3), "N3"),
-    (graph_from_edge_list(4, [(0, 1), (1, 2)]), "P3+isolated"),
+    (Graph(3), "N3"),
+    (Graph(4, [(0, 1), (1, 2)]), "P3+isolated"),
 ]
+
+
+def claims(g, m, *claim_ids, **kwargs):
+    """Reports of claim_ids, in order, from run_suite on g alone at m."""
+    reports = run_suite([(g, "g")], (m,), **kwargs)
+    return [next(r for r in reports if r.claim_id == c) for c in claim_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +30,7 @@ SMALL_CORPUS = [
 # ---------------------------------------------------------------------------
 
 def test_splitting_theorem_k2():
-    report = verify_splitting_theorem(K2, 1, descriptor="K2")
+    report, = claims(K2, 1, "splitting_vertex_energy")
     assert report.claim_id == "splitting_vertex_energy"
     assert report.passed
     assert report.max_abs_deviation < 1e-8
@@ -54,7 +45,7 @@ def test_splitting_theorem_c4_m3_factors():
     from vel.derived import m_splitting
     from vel.spectral import eigendecompose_symmetric, vertex_energies
 
-    report = verify_splitting_theorem(cycle_graph(4), 3)
+    report, = claims(cycle_graph(4), 3, "splitting_vertex_energy")
     assert report.passed
     numeric = vertex_energies(
         eigendecompose_symmetric(adjacency_matrix(m_splitting(cycle_graph(4), 3))))
@@ -64,13 +55,13 @@ def test_splitting_theorem_c4_m3_factors():
 
 
 def test_splitting_theorem_empty_graph():
-    report = verify_splitting_theorem(empty_graph(2), 2)
+    report, = claims(Graph(2), 2, "splitting_vertex_energy")
     assert report.passed
     assert report.max_abs_deviation <= 1e-12
 
 
 def test_shadow_theorem_k2_m2():
-    report = verify_shadow_theorem(K2, 2, descriptor="K2")
+    report, = claims(K2, 2, "shadow_vertex_energy")
     assert report.claim_id == "shadow_vertex_energy"
     assert report.passed
     # D_2(K2) = C4 with all four vertex energies equal to 1
@@ -79,17 +70,17 @@ def test_shadow_theorem_k2_m2():
 
 
 def test_shadow_theorem_p3_m3():
-    assert verify_shadow_theorem(path_graph(3), 3).passed
+    assert claims(path_graph(3), 3, "shadow_vertex_energy")[0].passed
 
 
 def test_shadow_theorem_m1_near_exact():
-    report = verify_shadow_theorem(cycle_graph(5), 1)
+    report, = claims(cycle_graph(5), 1, "shadow_vertex_energy")
     assert report.passed
     assert report.max_abs_deviation <= 1e-10
 
 
 def test_total_energy_factors_k2():
-    splitting, shadow = verify_total_energy_factors(K2, 1)
+    splitting, shadow = claims(K2, 1, "splitting_total_energy", "shadow_total_energy")
     assert splitting.claim_id == "splitting_total_energy"
     assert shadow.claim_id == "shadow_total_energy"
     assert splitting.passed and shadow.passed
@@ -98,38 +89,38 @@ def test_total_energy_factors_k2():
 
 
 def test_total_energy_factors_shadow_m2():
-    _, shadow = verify_total_energy_factors(K2, 2)
+    shadow, = claims(K2, 2, "shadow_total_energy")
     assert shadow.passed
 
 
 def test_total_energy_factors_empty():
-    for report in verify_total_energy_factors(empty_graph(4), 3):
+    for report in claims(Graph(4), 3, "splitting_total_energy", "shadow_total_energy"):
         assert report.passed
         assert report.max_abs_deviation <= 1e-12
 
 
 def test_spectrum_maps_k2_golden():
-    splitting, shadow = verify_spectrum_maps(K2, 1)
+    splitting, shadow = claims(K2, 1, "splitting_spectrum", "shadow_spectrum")
     assert splitting.claim_id == "splitting_spectrum"
     assert shadow.claim_id == "shadow_spectrum"
     assert splitting.passed and shadow.passed
 
 
 def test_spectrum_maps_p3_m2():
-    splitting, shadow = verify_spectrum_maps(path_graph(3), 2)
+    splitting, shadow = claims(path_graph(3), 2, "splitting_spectrum", "shadow_spectrum")
     assert splitting.passed and shadow.passed
 
 
 def test_energy_partition():
-    for g in (K2, path_graph(3), empty_graph(5)):
-        report = verify_energy_partition(g)
+    for g in (K2, path_graph(3), Graph(5)):
+        report, = claims(g, 1, "energy_partition")
         assert report.claim_id == "energy_partition"
         assert report.m == 0
         assert report.passed
 
 
 def test_failure_is_recorded_not_raised():
-    report = verify_splitting_theorem(path_graph(4), 2, tol=0.0)
+    report, = claims(path_graph(4), 2, "splitting_vertex_energy", tol=0.0)
     assert not report.passed
     assert report.max_abs_deviation > report.tolerance
 
@@ -139,7 +130,7 @@ def test_report_invariant_passed_iff_within_tolerance():
         for tol in (1e-8, 1e-16, 0.0):
             if g.n == 0:
                 continue
-            report = verify_shadow_theorem(g, 2, tol=tol)
+            report, = claims(g, 2, "shadow_vertex_energy", tol=tol)
             assert report.passed == (report.max_abs_deviation <= report.tolerance)
 
 
@@ -168,8 +159,8 @@ def test_run_suite_identical_inputs_identical_reports():
 
 
 def test_run_suite_default_corpus_deterministic_in_seed():
-    a = run_suite(None, m_values=(1,), seed=7)
-    b = run_suite(None, m_values=(1,), seed=7)
+    a = run_suite(default_corpus(7), m_values=(1,))
+    b = run_suite(default_corpus(7), m_values=(1,))
     assert a == b
 
 
@@ -187,11 +178,11 @@ def test_run_suite_rejects_empty_corpus():
 def test_deviations_scale_with_solver_tolerance():
     for g, _ in [(K2, ""), (path_graph(4), ""), (cycle_graph(4), "")]:
         for m in (1, 2):
-            loose = verify_splitting_theorem(g, m, eig_tol=1e-12)
-            tight = verify_splitting_theorem(g, m, eig_tol=1e-14)
+            loose, = claims(g, m, "splitting_vertex_energy", eig_tol=1e-12)
+            tight, = claims(g, m, "splitting_vertex_energy", eig_tol=1e-14)
             assert tight.max_abs_deviation <= 10.0 * loose.max_abs_deviation + 1e-15
-            loose = verify_shadow_theorem(g, m, eig_tol=1e-12)
-            tight = verify_shadow_theorem(g, m, eig_tol=1e-14)
+            loose, = claims(g, m, "shadow_vertex_energy", eig_tol=1e-12)
+            tight, = claims(g, m, "shadow_vertex_energy", eig_tol=1e-14)
             assert tight.max_abs_deviation <= 10.0 * loose.max_abs_deviation + 1e-15
 
 
@@ -208,7 +199,8 @@ def test_default_corpus_composition():
     assert sizes == {5, 8, 12}
     by_descriptor = dict((d, g) for g, d in corpus)
     # one graph with an isolated vertex
-    assert 0 in by_descriptor["P3+isolated"].degrees()
+    isolated = by_descriptor["P3+isolated"]
+    assert set(range(isolated.n)) > {v for e in isolated.edges for v in e}
     # one disconnected graph: the two halves of K3+P3 never touch
     assert all(max(i, j) < 3 or min(i, j) >= 3
                for i, j in by_descriptor["K3+P3"].edges)
