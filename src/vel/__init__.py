@@ -37,7 +37,7 @@ from .graphs import (
     vertex_label,
 )
 from .spectral import (
-    DEFAULT_EIG_TOL,
+    EIG_TOL,
     JacobiConvergenceError,
     Spectrum,
     eigendecompose_symmetric,

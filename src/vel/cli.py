@@ -3,17 +3,15 @@ and verification of the closed-form scaling laws.
 
 Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
 or input error.  Floating-point values in JSON/CSV output carry 15
-significant digits.  The VEL_EIG_TOL environment variable overrides the
-eigensolver tolerance (default 1e-12, range [1e-16, 1e-8]); verify's --tol
-lies in (0, 1e-4].  energy and verify refuse a dense dimension above 4096
-(spectral.MAX_DIM); for verify it is (m-max + 1) * n, the splitting graph's.
+significant digits.  verify's --tol lies in (0, 1e-4].  energy and verify
+refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
+(m-max + 1) * n, the splitting graph's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain
 from typing import Iterable
@@ -28,14 +26,10 @@ from .graphs import (
     to_graph6,
     vertex_label,
 )
-from .spectral import DEFAULT_EIG_TOL, MAX_DIM, graph_energy, graph_spectrum, vertex_energies
+from .spectral import EIG_TOL, MAX_DIM, graph_energy, graph_spectrum, vertex_energies
 from .verify import DEFAULT_TOL, default_corpus, run_suite
 
 SCHEMA_VERSION = "1.0"
-EIG_TOL_ENV = "VEL_EIG_TOL"
-# below unit roundoff the solver's stop test is unreachable; above verify's
-# default tolerance the solve cannot back a certification
-EIG_TOL_RANGE = (1e-16, 1e-8)
 # every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
 MAX_TOL = 1e-4
 
@@ -74,21 +68,6 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _eig_tol() -> float:
-    raw = os.environ.get(EIG_TOL_ENV)
-    if raw is None:
-        return DEFAULT_EIG_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise InputError(f"invalid {EIG_TOL_ENV}={raw!r}: not a number") from None
-    low, high = EIG_TOL_RANGE
-    if not low <= value <= high:
-        raise InputError(f"invalid {EIG_TOL_ENV}={raw!r}: must be positive, "
-                         f"within [{low:g}, {high:g}]")
-    return value
-
-
 def _check_dim(dim: int, what: str) -> None:
     if dim > MAX_DIM:
         raise InputError(f"{what} has dimension {dim}, above the dense limit {MAX_DIM}")
@@ -125,16 +104,15 @@ def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterabl
 # ---------------------------------------------------------------------------
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    eig_tol = _eig_tol()
     g = _load_graph(args.input, args.format)
     _check_dim(g.n, "graph")
-    spectrum = graph_spectrum(g, eig_tol)
+    spectrum = graph_spectrum(g)
     energies = [_round15(v) for v in vertex_energies(spectrum)]
     total = _round15(graph_energy(spectrum))
     record = _record(
         "energy",
         {"source": args.input, "format": args.format,
-         "eig_tol": _round15(eig_tol)},
+         "eig_tol": _round15(EIG_TOL)},
         {"n": g.n, "edge_count": g.num_edges,
          "vertex_energies": energies, "total_energy": total},
     )
@@ -181,7 +159,6 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    eig_tol = _eig_tol()
     if args.m_max < 0:
         raise InputError(f"--m-max must be >= 0, got {args.m_max}")
     if args.seed < 0:
@@ -201,9 +178,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
     _check_dim((args.m_max + 1) * max(graph.n for graph, _ in corpus), "splitting graph")
-    reports = run_suite(corpus, m_values, args.tol, eig_tol=eig_tol)
+    reports = run_suite(corpus, m_values, args.tol)
     inputs.update({"m_max": args.m_max, "tol": _round15(args.tol),
-                   "eig_tol": _round15(eig_tol)})
+                   "eig_tol": _round15(EIG_TOL)})
     all_passed = all(r.passed for r in reports)
     rows = []
     for r in reports:

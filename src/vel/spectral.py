@@ -14,13 +14,10 @@ import numpy as np
 
 from .graphs import Graph, adjacency_matrix
 
-DEFAULT_EIG_TOL = 1e-12
+EIG_TOL = 1e-12
 MAX_SWEEPS = 100
 # largest dense dimension solved: about five n x n float64 arrays, ~640 MiB
 MAX_DIM = 4096
-
-# energies are provably nonnegative; anything below is solver noise
-NEGATIVE_CLAMP = 1e-12
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -42,17 +39,17 @@ class Spectrum:
                 f"inconsistent spectrum shapes {lam.shape} / {u.shape}")
 
 
-def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real symmetric matrix.
 
     Cyclic Jacobi: sweep every off-diagonal pair (p, q) with a Givens
     rotation annihilating a[p, q], until the off-diagonal Frobenius norm
-    falls below tol * ||a||_F, at most MAX_SWEEPS sweeps.  Eigenvectors are
-    the accumulated rotations, so orthonormality is structural.
+    falls below EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  Eigenvectors
+    are the accumulated rotations, so orthonormality is structural.
 
-    Raises ValueError for non-square, empty, or non-symmetric input or a
-    tol outside (0, inf), and JacobiConvergenceError on non-convergence
-    (which cannot occur for finite symmetric input).
+    Raises ValueError for non-square, empty, or non-symmetric input, and
+    JacobiConvergenceError on non-convergence (which cannot occur for
+    finite symmetric input).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,12 +59,10 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
         raise ValueError("matrix dimension must be at least 1")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     work = a.copy()
     vecs = np.eye(n)
-    target = tol * np.linalg.norm(a)
+    target = EIG_TOL * np.linalg.norm(a)
     # If every |a_pq| <= target/n^2 then the off-diagonal norm is already
     # below target/n, so skipping such pivots cannot stall convergence.
     skip = target / (n * n)
@@ -76,7 +71,7 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
     while _off_diagonal_norm(work) > target:
         if sweeps == MAX_SWEEPS:
             raise JacobiConvergenceError(
-                f"no convergence after {MAX_SWEEPS} sweeps (dim={n}, tol={tol})")
+                f"no convergence after {MAX_SWEEPS} sweeps (dim={n})")
         _jacobi_sweep(work, vecs, skip)
         sweeps += 1
 
@@ -85,11 +80,11 @@ def eigendecompose_symmetric(a: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> Spe
     return Spectrum(eigenvalues[order], vecs[:, order])
 
 
-def graph_spectrum(g: Graph, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+def graph_spectrum(g: Graph) -> Spectrum:
     """Spectrum of g's adjacency matrix; empty (total energy 0) when n = 0."""
     if g.n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)))
-    return eigendecompose_symmetric(adjacency_matrix(g), tol)
+    return eigendecompose_symmetric(adjacency_matrix(g))
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -130,14 +125,9 @@ def _jacobi_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
 
 
 def vertex_energies(spectrum: Spectrum) -> np.ndarray:
-    """Per-vertex energies sum_i |lambda_i| u_{ik}^2, one entry per vertex.
-
-    Entries in [-NEGATIVE_CLAMP, 0) are clamped to zero.
-    """
+    """Per-vertex energies sum_i |lambda_i| u_{ik}^2, one entry per vertex."""
     u = spectrum.eigenvectors
-    values = (u * u) @ np.abs(spectrum.eigenvalues)
-    values[(values < 0.0) & (values >= -NEGATIVE_CLAMP)] = 0.0
-    return values
+    return (u * u) @ np.abs(spectrum.eigenvalues)
 
 
 def graph_energy(spectrum: Spectrum) -> float:

@@ -39,13 +39,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .spectral import (
-    DEFAULT_EIG_TOL,
-    Spectrum,
-    graph_energy,
-    graph_spectrum,
-    vertex_energies,
-)
+from .spectral import graph_energy, graph_spectrum, vertex_energies
 
 DEFAULT_TOL = 1e-8
 # two compounded eigensolves justify the looser theorem tolerance above;
@@ -151,10 +145,7 @@ def default_corpus(seed: int = 42) -> list[tuple[Graph, str]]:
 
 def run_suite(corpus: Sequence[tuple[Graph, str]],
               m_values: Sequence[int] = (1, 2, 3, 4),
-              tol: float = DEFAULT_TOL,
-              *,
-              eig_tol: float = DEFAULT_EIG_TOL,
-              ) -> list[VerificationReport]:
+              tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """Run every check over corpus x m_values.
 
     Failing comparisons are recorded in their reports, never raised.  The
@@ -165,13 +156,13 @@ def run_suite(corpus: Sequence[tuple[Graph, str]],
         raise ValueError("corpus must be nonempty")
     reports: list[VerificationReport] = []
     for g, descriptor in corpus:
-        base = graph_spectrum(g, eig_tol)
+        base = graph_spectrum(g)
         partition_sum = float(np.sum(vertex_energies(base)))
         reports.append(_report("energy_partition", descriptor, 0, PARTITION_TOL,
                                _scaled_deviation(partition_sum, graph_energy(base))))
         for m in m_values:
-            derived = {"m_splitting": graph_spectrum(m_splitting(g, m), eig_tol),
-                       "m_shadow": graph_spectrum(m_shadow(g, m), eig_tol)}
+            derived = {"m_splitting": graph_spectrum(m_splitting(g, m)),
+                       "m_shadow": graph_spectrum(m_shadow(g, m))}
             for claim_id, (construction, rule, paths) in _SCALING_CLAIMS.items():
                 numeric, predicted = paths(base, derived[construction], m)
                 reports.append(_report(claim_id, descriptor, m, tol,

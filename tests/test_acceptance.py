@@ -23,8 +23,8 @@ from vel.derived import (
 from vel.graphs import Graph, adjacency_matrix
 from vel.spectral import (
     Spectrum,
-    eigendecompose_symmetric,
     graph_energy,
+    graph_spectrum,
     matrix_abs_diagonal,
     vertex_energies,
 )
@@ -45,10 +45,6 @@ class Entry:
     derived: dict
 
 
-def _solve(g: Graph) -> Spectrum:
-    return eigendecompose_symmetric(adjacency_matrix(g))
-
-
 @pytest.fixture(scope="module")
 def corpus_cache():
     entries = []
@@ -57,8 +53,8 @@ def corpus_cache():
         for m in M_VALUES:
             spl = m_splitting(g, m)
             sh = m_shadow(g, m)
-            derived[m] = (spl, _solve(spl), sh, _solve(sh))
-        entries.append(Entry(g, descriptor, _solve(g), derived))
+            derived[m] = (spl, graph_spectrum(spl), sh, graph_spectrum(sh))
+        entries.append(Entry(g, descriptor, graph_spectrum(g), derived))
     return entries
 
 
@@ -83,7 +79,7 @@ def test_criterion_1_splitting_vertex_energy_law(corpus_cache):
 
 def test_criterion_2_splitting_m1_energies_of_k2():
     k2 = Graph(2, [(0, 1)])
-    numeric = vertex_energies(_solve(m_splitting(k2, 1)))
+    numeric = vertex_energies(graph_spectrum(m_splitting(k2, 1)))
     expected = np.array([3 / SQRT5, 3 / SQRT5, 2 / SQRT5, 2 / SQRT5])
     worst = float(np.max(np.abs(numeric - expected)))
     _conclude(2, "m=1 splitting energies of K2", worst, 1e-8)
@@ -200,6 +196,6 @@ def test_criterion_9_known_exact_spectra():
     }
     worst = 0.0
     for g, expected in cases.values():
-        dev = np.abs(_solve(g).eigenvalues - np.array(expected))
+        dev = np.abs(graph_spectrum(g).eigenvalues - np.array(expected))
         worst = max(worst, float(np.max(dev)))
     _conclude(9, "known exact spectra", worst, 1e-10)

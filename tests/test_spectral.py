@@ -18,6 +18,7 @@ from vel.spectral import (
     Spectrum,
     eigendecompose_symmetric,
     graph_energy,
+    graph_spectrum,
     matrix_abs_diagonal,
     vertex_energies,
 )
@@ -25,10 +26,6 @@ from vel.spectral import (
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def graph_spectrum(g, tol=1e-12):
-    return eigendecompose_symmetric(adjacency_matrix(g), tol)
 
 
 def numpy_spectrum(g):
@@ -90,12 +87,6 @@ def test_rejects_non_square():
 def test_rejects_empty_matrix():
     with pytest.raises(ValueError, match="at least 1"):
         eigendecompose_symmetric(np.zeros((0, 0)))
-
-
-@pytest.mark.parametrize("tol", [0.0, math.inf])
-def test_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        eigendecompose_symmetric(np.eye(2), tol=tol)
 
 
 @pytest.mark.parametrize("g", [

@@ -175,17 +175,6 @@ def test_run_suite_rejects_empty_corpus():
         run_suite([])
 
 
-def test_deviations_scale_with_solver_tolerance():
-    for g, _ in [(K2, ""), (path_graph(4), ""), (cycle_graph(4), "")]:
-        for m in (1, 2):
-            loose, = claims(g, m, "splitting_vertex_energy", eig_tol=1e-12)
-            tight, = claims(g, m, "splitting_vertex_energy", eig_tol=1e-14)
-            assert tight.max_abs_deviation <= 10.0 * loose.max_abs_deviation + 1e-15
-            loose, = claims(g, m, "shadow_vertex_energy", eig_tol=1e-12)
-            tight, = claims(g, m, "shadow_vertex_energy", eig_tol=1e-14)
-            assert tight.max_abs_deviation <= 10.0 * loose.max_abs_deviation + 1e-15
-
-
 # ---------------------------------------------------------------------------
 # default corpus
 # ---------------------------------------------------------------------------
