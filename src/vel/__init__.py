@@ -22,7 +22,6 @@ from .derived import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    VertexLabel,
     adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
@@ -34,7 +33,6 @@ from .graphs import (
     path_graph,
     star_graph,
     to_graph6,
-    vertex_label,
 )
 from .spectral import (
     EIG_TOL,

@@ -24,7 +24,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     to_graph6,
-    vertex_label,
 )
 from .spectral import EIG_TOL, MAX_DIM, graph_energy, graph_spectrum, vertex_energies
 from .verify import DEFAULT_TOL, default_corpus, run_suite
@@ -48,13 +47,19 @@ def _round15(x: float) -> float:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The bytes of path, or of stdin for '-', decoded as strict UTF-8 whatever
+    the locale; an in-memory text stdin (no .buffer) is taken as it is."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data if isinstance(data, str) else data.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: byte {exc.start}") from exc
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -134,9 +139,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     derived = m_splitting(g, args.m) if args.op == "splitting" else m_shadow(g, args.m)
     labels = []
     for flat in range(derived.n):
-        label = vertex_label(flat, g.n)
-        labels.append({"flat": flat, "copy": label.copy_index,
-                       "base": label.base_index})
+        copy, base = divmod(flat, g.n)
+        labels.append({"flat": flat, "copy": copy, "base": base})
     graph_text = (to_graph6(derived) + "\n" if args.emit == "graph6"
                   else format_edge_list(derived))
     record = _record(

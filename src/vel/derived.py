@@ -1,21 +1,23 @@
 """Splitting and shadow graph constructions with closed-form predictors.
 
-For a base graph g on n vertices:
+For a base graph g on n vertices with adjacency matrix A, both derived
+graphs are blow-ups B (x) A by a 0/1 block pattern B over copy-major flat
+indices (copy c, base i) -> c*n + i, so divmod(flat, n) is a vertex's
+(copy, base) label:
 
-* ``m_splitting(g, m)`` adds m copy vertices per base vertex, each adjacent
-  to the neighbors of its base vertex and to nothing else;
-* ``m_shadow(g, m)`` takes m copies of g and joins vertex i in copy r to
-  vertex j in copy s (all r, s, including r = s) whenever {i, j} is a base
-  edge, so its adjacency matrix is J_m (x) A with J_m the all-ones matrix.
+* ``m_splitting(g, m)``: B is the (m+1) x (m+1) arrow pattern (first row
+  and column all ones); copy 0 holds the original vertices, and each of the
+  m other copies of vertex i is adjacent to the neighbors of i only;
+* ``m_shadow(g, m)``: B is the all-ones J_m, joining vertex i in copy r to
+  vertex j in copy s (all r, s) whenever {i, j} is a base edge.
 
-Both use the copy-major flat ordering: (copy c, base i) -> c*n + i, with
-copy 0 of the splitting graph being the original vertices.  The predictor
-functions scale base-graph spectra and vertex energies into derived-graph
-quantities without any eigensolve.
+The predictor functions scale base-graph spectra and vertex energies into
+derived-graph quantities without any eigensolve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,32 +54,28 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be a positive integer, got {m}")
 
 
-def m_splitting(g: Graph, m: int) -> Graph:
-    """m-splitting of g on n*(m+1) vertices, (2m+1)*|E(g)| edges.
-
-    Copy c >= 1 of vertex i (flat index c*n + i) is joined to every original
-    neighbor of i; copies carry no edges among themselves.
-    """
-    _check_m(m)
+def _blow_up(g: Graph, copies: int, blocks) -> Graph:
+    """Adjacency B (x) A, B given by its set (r, s) entries: base edge {i, j}
+    joins (r, i) to (s, j) for each listed block (r, s)."""
     n = g.n
-    edges = list(g.edges)
-    for i, j in g.edges:
-        for c in range(1, m + 1):
-            edges.append((c * n + i, j))
-            edges.append((c * n + j, i))
-    return Graph(n * (m + 1), tuple(edges))
+    if not g.edges:
+        return Graph(copies * n)
+    offsets = [(r * n, s * n) for r, s in blocks]
+    return Graph(copies * n,
+                 [(r + i, s + j) for r, s in offsets for i, j in g.edges])
+
+
+def m_splitting(g: Graph, m: int) -> Graph:
+    """m-splitting of g on n*(m+1) vertices, (2m+1)*|E(g)| edges."""
+    _check_m(m)
+    arrow = [(0, c) for c in range(m + 1)] + [(c, 0) for c in range(1, m + 1)]
+    return _blow_up(g, m + 1, arrow)
 
 
 def m_shadow(g: Graph, m: int) -> Graph:
-    """m-shadow of g on m*n vertices, m^2*|E(g)| edges (adjacency J_m (x) A)."""
+    """m-shadow of g on m*n vertices, m^2*|E(g)| edges."""
     _check_m(m)
-    n = g.n
-    edges = []
-    for i, j in g.edges:
-        for r in range(m):
-            for s in range(m):
-                edges.append((r * n + i, s * n + j))
-    return Graph(m * n, tuple(edges))
+    return _blow_up(g, m, itertools.product(range(m), repeat=2))
 
 
 def predicted_splitting_spectrum(base_eigenvalues, m: int) -> np.ndarray:

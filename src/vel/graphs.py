@@ -57,30 +57,6 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexLabel:
-    """(copy, base) address of a derived-graph vertex.
-
-    Derived graphs use the copy-major flat ordering: the vertex with label
-    (copy_index c, base_index i) sits at flat index c*n + i, where n is the
-    base graph's vertex count.  Copy 0 of a splitting graph is the original
-    vertex set.
-    """
-
-    copy_index: int
-    base_index: int
-
-
-def vertex_label(flat: int, n: int) -> VertexLabel:
-    """Label of a flat derived-graph index under the copy-major ordering."""
-    if n <= 0:
-        raise ValueError("base vertex count must be positive")
-    if flat < 0:
-        raise ValueError("flat index must be nonnegative")
-    copy, base = divmod(flat, n)
-    return VertexLabel(copy, base)
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix (symmetric, zero diagonal)."""
     a = np.zeros((g.n, g.n))

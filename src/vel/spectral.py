@@ -44,10 +44,14 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
 
     Cyclic Jacobi: sweep every off-diagonal pair (p, q) with a Givens
     rotation annihilating a[p, q], until the off-diagonal Frobenius norm
-    falls below EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  Eigenvectors
-    are the accumulated rotations, so orthonormality is structural.
+    falls below EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  It sweeps
+    a divided by the power of two that brings max|a_ij| into [1, 2), so the
+    norms cannot overflow, and scales the eigenvalues back exactly; a 0/1
+    matrix is divided by 1.  Eigenvectors are the accumulated rotations, so
+    orthonormality is structural.
 
-    Raises ValueError for non-square, empty, or non-symmetric input, and
+    Raises ValueError for non-square, empty, non-finite or non-symmetric
+    input and for an eigenvalue beyond the float64 range, and
     JacobiConvergenceError on non-convergence (which cannot occur for
     finite symmetric input).
     """
@@ -57,12 +61,16 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     n = a.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be at least 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
 
-    work = a.copy()
+    # a power of two with max|a| / scale in [1, 2): exact to divide and undo
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
+    work = a / scale
     vecs = np.eye(n)
-    target = EIG_TOL * np.linalg.norm(a)
+    target = EIG_TOL * np.linalg.norm(work)
     # If every |a_pq| <= target/n^2 then the off-diagonal norm is already
     # below target/n, so skipping such pivots cannot stall convergence.
     skip = target / (n * n)
@@ -75,7 +83,10 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
         _jacobi_sweep(work, vecs, skip)
         sweeps += 1
 
-    eigenvalues = np.diag(work).copy()
+    with np.errstate(over="ignore"):
+        eigenvalues = np.diag(work) * scale
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("an eigenvalue is beyond the float64 range")
     order = np.argsort(eigenvalues, kind="stable")
     return Spectrum(eigenvalues[order], vecs[:, order])
 

@@ -61,21 +61,11 @@ class VerificationReport:
     m: int
     max_abs_deviation: float
     tolerance: float
-    passed: bool
     per_vertex_deviations: tuple[float, ...] | None = None
 
-
-def _report(claim_id: str, descriptor: str, m: int, tol: float, deviation: float,
-            per_vertex: tuple[float, ...] | None = None) -> VerificationReport:
-    return VerificationReport(
-        claim_id=claim_id,
-        graph_descriptor=descriptor,
-        m=m,
-        max_abs_deviation=deviation,
-        tolerance=tol,
-        passed=deviation <= tol,
-        per_vertex_deviations=per_vertex,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_deviation <= self.tolerance
 
 
 def _scaled_deviation(value: float, reference: float) -> float:
@@ -158,14 +148,16 @@ def run_suite(corpus: Sequence[tuple[Graph, str]],
     for g, descriptor in corpus:
         base = graph_spectrum(g)
         partition_sum = float(np.sum(vertex_energies(base)))
-        reports.append(_report("energy_partition", descriptor, 0, PARTITION_TOL,
-                               _scaled_deviation(partition_sum, graph_energy(base))))
+        reports.append(VerificationReport(
+            "energy_partition", descriptor, 0,
+            _scaled_deviation(partition_sum, graph_energy(base)), PARTITION_TOL))
         for m in m_values:
             derived = {"m_splitting": graph_spectrum(m_splitting(g, m)),
                        "m_shadow": graph_spectrum(m_shadow(g, m))}
             for claim_id, (construction, rule, paths) in _SCALING_CLAIMS.items():
                 numeric, predicted = paths(base, derived[construction], m)
-                reports.append(_report(claim_id, descriptor, m, tol,
-                                       *_deviation(rule, numeric, predicted)))
+                deviation, per_vertex = _deviation(rule, numeric, predicted)
+                reports.append(VerificationReport(claim_id, descriptor, m, deviation,
+                                                  tol, per_vertex))
     reports.sort(key=lambda r: (r.graph_descriptor, r.claim_id, r.m))
     return reports

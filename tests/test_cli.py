@@ -118,6 +118,21 @@ def test_energy_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_energy_non_utf8_input(from_stdin, tmp_path, monkeypatch, capsys):
+    data = b"2 1\n0 1 \xff\n"
+    source = tmp_path / "latin1.txt"
+    source.write_bytes(data)
+    if from_stdin:
+        source = "-"
+        # a latin-1 locale would decode every byte; the bytes are read instead
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
+    code, out, err = run_cli(["energy", str(source)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{source} is not UTF-8 text: byte 8" in err
+
+
 # ---------------------------------------------------------------------------
 # derive
 # ---------------------------------------------------------------------------

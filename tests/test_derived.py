@@ -118,6 +118,13 @@ def test_splitting_empty_graph():
     assert m_splitting(Graph(3), 2) == Graph(9)
 
 
+def test_blow_up_is_linear_in_m():
+    # the arrow pattern has 2m+1 blocks, not (m+1)^2
+    m = 10**5
+    assert m_splitting(K2, m).num_edges == 2 * m + 1
+    assert m_shadow(Graph(2), m) == Graph(2 * m)
+
+
 def test_splitting_c4_counts():
     g = m_splitting(cycle_graph(4), 1)
     assert g.n == 8 and g.num_edges == 12

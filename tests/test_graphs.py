@@ -5,7 +5,6 @@ from vel import graphs
 from vel.graphs import (
     Graph,
     GraphFormatError,
-    VertexLabel,
     adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
@@ -17,7 +16,6 @@ from vel.graphs import (
     path_graph,
     star_graph,
     to_graph6,
-    vertex_label,
 )
 
 
@@ -250,27 +248,3 @@ def test_gnp_random_graph_deterministic():
     assert a == b
     assert gnp_random_graph(6, 0.0, np.random.default_rng(0)) == Graph(6)
     assert gnp_random_graph(6, 1.0, np.random.default_rng(0)) == complete_graph(6)
-
-
-# ---------------------------------------------------------------------------
-# vertex labels
-# ---------------------------------------------------------------------------
-
-def test_vertex_label_round_trip():
-    n = 5
-    for flat in range(3 * n):
-        label = vertex_label(flat, n)
-        assert 0 <= label.base_index < n
-        assert label.copy_index * n + label.base_index == flat
-
-
-def test_vertex_label_values():
-    assert vertex_label(7, 3) == VertexLabel(copy_index=2, base_index=1)
-    assert vertex_label(6, 4) == VertexLabel(copy_index=1, base_index=2)
-
-
-def test_vertex_label_rejects_bad_input():
-    with pytest.raises(ValueError):
-        vertex_label(0, 0)
-    with pytest.raises(ValueError):
-        vertex_label(-1, 3)

@@ -15,6 +15,7 @@ from vel.graphs import (
     star_graph,
 )
 from vel.spectral import (
+    JacobiConvergenceError,
     Spectrum,
     eigendecompose_symmetric,
     graph_energy,
@@ -87,6 +88,29 @@ def test_rejects_non_square():
 def test_rejects_empty_matrix():
     with pytest.raises(ValueError, match="at least 1"):
         eigendecompose_symmetric(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose_symmetric(np.array([[0.0, value], [value, 0.0]]))
+
+
+def test_huge_entries_do_not_overflow_the_stop_test():
+    s = eigendecompose_symmetric(np.array([[0.0, 1e160], [1e160, 0.0]]))
+    np.testing.assert_allclose(s.eigenvalues, [-1e160, 1e160], rtol=1e-12)
+
+
+def test_eigenvalue_beyond_float64_range_raises():
+    # eigenvalues 0 and 2e308
+    with pytest.raises(ValueError, match="float64 range"):
+        eigendecompose_symmetric(np.full((2, 2), 1e308))
+
+
+def test_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr("vel.spectral.MAX_SWEEPS", 0)
+    with pytest.raises(JacobiConvergenceError, match=r"dim=2\)"):
+        graph_spectrum(Graph(2, [(0, 1)]))
 
 
 @pytest.mark.parametrize("g", [
