@@ -5,13 +5,16 @@ Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
 or input error.  Floating-point values in JSON/CSV output carry 15
 significant digits.  verify's --tol lies in (0, 1e-4].  energy and verify
 refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
-(m-max + 1) * n, the splitting graph's.
+(m-max + 1) * n, the splitting graph's.  derive refuses a derived graph with
+more than MAX_DERIVED vertices, edges or graph6 data bytes, before building
+it.  A stdout closed by its reader ends the command with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from typing import Iterable
@@ -31,6 +34,8 @@ from .verify import DEFAULT_TOL, default_corpus, run_suite
 SCHEMA_VERSION = "1.0"
 # every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
 MAX_TOL = 1e-4
+# derive's output holds about 1 KB per vertex (JSON labels), so at most ~0.5 GB
+MAX_DERIVED = 500_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -132,10 +137,24 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 # derive
 # ---------------------------------------------------------------------------
 
+def _check_derived_size(g: Graph, args: argparse.Namespace) -> None:
+    copies, blocks = ((args.m + 1, 2 * args.m + 1) if args.op == "splitting"
+                      else (args.m, args.m ** 2))
+    n = copies * g.n
+    sizes = [(n, "vertices"), (blocks * g.num_edges, "edges")]
+    if args.emit == "graph6":
+        sizes.append(((n * (n - 1) // 2 + 5) // 6, "graph6 data bytes"))
+    for size, what in sizes:
+        if size > MAX_DERIVED:
+            raise InputError(
+                f"{args.op} graph would have {size} {what}, above the limit {MAX_DERIVED}")
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise InputError(f"--m must be >= 1, got {args.m}")
     g = _load_graph(args.input, args.format)
+    _check_derived_size(g, args)
     derived = m_splitting(g, args.m) if args.op == "splitting" else m_shadow(g, args.m)
     labels = []
     for flat in range(derived.n):
@@ -265,9 +284,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InputError, GraphFormatError) as exc:
         print(f"vel {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout; the interpreter's final flush of what is
+        # still buffered would raise again, so it goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

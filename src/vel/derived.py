@@ -58,24 +58,25 @@ def _blow_up(g: Graph, copies: int, blocks) -> Graph:
     """Adjacency B (x) A, B given by its set (r, s) entries: base edge {i, j}
     joins (r, i) to (s, j) for each listed block (r, s)."""
     n = g.n
-    if not g.edges:
+    if not g.num_edges:
         return Graph(copies * n)
-    offsets = [(r * n, s * n) for r, s in blocks]
-    return Graph(copies * n,
-                 [(r + i, s + j) for r, s in offsets for i, j in g.edges])
+    offsets = n * np.array(list(blocks), dtype=np.int64).reshape(-1, 1, 2)
+    return Graph(copies * n, (offsets + g.edges).reshape(-1, 2))
 
 
 def m_splitting(g: Graph, m: int) -> Graph:
     """m-splitting of g on n*(m+1) vertices, (2m+1)*|E(g)| edges."""
     _check_m(m)
-    arrow = [(0, c) for c in range(m + 1)] + [(c, 0) for c in range(1, m + 1)]
+    spokes = range(1, m + 1)
+    # lazy, as the shadow's blocks are: an edgeless base never lists them
+    arrow = itertools.chain([(0, 0)], ((0, c) for c in spokes), ((c, 0) for c in spokes))
     return _blow_up(g, m + 1, arrow)
 
 
 def m_shadow(g: Graph, m: int) -> Graph:
     """m-shadow of g on m*n vertices, m^2*|E(g)| edges."""
     _check_m(m)
-    return _blow_up(g, m, itertools.product(range(m), repeat=2))
+    return _blow_up(g, m, ((r, s) for r in range(m) for s in range(m)))
 
 
 def predicted_splitting_spectrum(base_eigenvalues, m: int) -> np.ndarray:

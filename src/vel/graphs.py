@@ -1,9 +1,9 @@
 """Immutable simple-graph model, interchange formats, and family generators.
 
 Vertices are 0-based integers 0..n-1 throughout.  Edges are unordered pairs
-of distinct vertices, stored canonically as (i, j) with i < j in sorted
-order, so two graphs compare equal exactly when they have the same vertex
-count and edge set.
+of distinct vertices, stored canonically as one read-only (E, 2) int64 array
+of rows (i, j) with i < j in sorted order, so two graphs compare equal
+exactly when they have the same vertex count and edge set.
 
 Two text formats are supported:
 
@@ -24,33 +24,48 @@ class GraphFormatError(ValueError):
     """Input text is not a valid encoding of a graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: vertex count plus canonical edge tuple.
+    """Simple undirected graph: vertex count plus canonical edge array.
 
-    The constructor canonicalizes: orientations are normalized to (i, j)
-    with i < j, duplicates collapse, and the edge tuple is sorted.
-    Self-loops and out-of-range endpoints are rejected.
+    The constructor takes any (E, 2) array-like of integer pairs and makes a
+    read-only int64 copy: orientations normalized to (i, j) with i < j,
+    duplicates collapsed, rows sorted.  It rejects self-loops and
+    out-of-range endpoints, naming the first bad pair in input order.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        canonical = set()
-        for pair in self.edges:
-            i, j = pair
-            i, j = int(i), int(j)
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        pairs = np.array(self.edges, dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"edges must be an (E, 2) array of pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            i, j = int(lo[bad.argmax()]), int(hi[bad.argmax()])
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            if i < 0 or j >= self.n:
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            canonical.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        # keys lo*n + hi sort as (lo, hi); Python ints where n*n overflows int64
+        keys = np.sort(lo.astype(np.int64 if n < 2**31 else object) * n + hi)
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        canonical = np.column_stack((keys // n, keys % n)).astype(np.int64, copy=False)
+        canonical.flags.writeable = False
+        object.__setattr__(self, "edges", canonical)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def num_edges(self) -> int:
@@ -60,9 +75,8 @@ class Graph:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix (symmetric, zero diagonal)."""
     a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    i, j = g.edges.T
+    a[i, j] = a[j, i] = 1.0
     return a
 
 
@@ -89,10 +103,10 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise GraphFormatError("graph6 data must be ASCII") from exc
-    for offset, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(
-                f"byte {offset}: value {byte} outside graph6 range 63..126")
+    bad = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) - 63 > 63)  # uint8 wraps below 63
+    if bad.size:
+        raise GraphFormatError(
+            f"byte {bad[0]}: value {data[bad[0]]} outside graph6 range 63..126")
     n, body = _decode_graph6_size(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -102,14 +116,12 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > need:
         raise GraphFormatError(
             f"trailing data after graph6 bit stream at byte {len(data) - len(body) + need}")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[k // 6] - 63) >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, tuple(edges))
+    # bit k of the stream is pair (i, j), i < j, at k = j(j-1)/2 + i
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8) - 63).reshape(-1, 8)
+    k = np.flatnonzero(bits[:, 2:].ravel()[:nbits])
+    starts = np.arange(n, dtype=np.int64) * np.arange(-1, n - 1) // 2
+    j = np.searchsorted(starts, k, side="right") - 1
+    return Graph(n, np.column_stack((k - starts[j], j)))
 
 
 def _decode_graph6_size(data: bytes) -> tuple[int, bytes]:
@@ -144,21 +156,11 @@ def to_graph6(g: Graph) -> str:
         head = [126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise ValueError(f"n={n} too large for graph6")
-    present = set(g.edges)
-    chunks = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | ((i, j) in present)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append((acc << 6 - nbits) + 63)
-    return bytes(head + chunks).decode("ascii")
+    i, j = g.edges.T
+    k = j * (j - 1) // 2 + i
+    chunks = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
+    np.bitwise_or.at(chunks, k // 6, (32 >> k % 6).astype(np.uint8))
+    return (bytes(head) + (chunks + 63).tobytes()).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +209,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Render in the edge-list text format (header plus sorted edge lines)."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.num_edges}\n" + "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from vel.cli import main
+import vel
+from vel.cli import MAX_DERIVED, main
 from vel.graphs import parse_edge_list, parse_graph6
 from vel.verify import default_corpus, run_suite
 
@@ -13,6 +17,7 @@ K2_EDGELIST = "2 1\n0 1\n"
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
 EMPTY3_EDGELIST = "3 0\n"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(vel.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -145,7 +150,7 @@ def test_derive_splitting_k2(k2_file, capsys):
     results = record["results"]
     assert results["n"] == 4 and results["edge_count"] == 3
     derived = parse_edge_list(results["graph"])
-    assert set(derived.edges) == {(0, 1), (1, 2), (0, 3)}
+    assert derived.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
     assert results["labels"][2] == {"flat": 2, "copy": 1, "base": 0}
 
 
@@ -206,6 +211,38 @@ def test_derive_requires_op(k2_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["derive", k2_file])
     assert excinfo.value.code == 2
+
+
+K60_EDGELIST = "60 1770\n" + "".join(f"{i} {j}\n" for i in range(60) for j in range(i + 1, 60))
+
+
+@pytest.mark.parametrize("stdin, argv, n, edge_count", [
+    (K2_EDGELIST, ["--op=splitting", "--m=50000"], 100002, 100001),
+    # K60 bounds every G(60, p)
+    (K60_EDGELIST, ["--op=splitting", "--m=8"], 540, 17 * 1770),
+    (K60_EDGELIST, ["--op=shadow", "--m=8", "--emit=graph6"], 480, 64 * 1770),
+    ("0 0\n", ["--op=splitting", f"--m={10**18}"], 0, 0),
+    ("0 0\n", ["--op=shadow", f"--m={10**18}"], 0, 0),
+])
+def test_derive_accepts_sizes_within_limit(stdin, argv, n, edge_count, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["derive", *argv, "--output=json"], capsys)
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert (results["n"], results["edge_count"]) == (n, edge_count)
+
+
+@pytest.mark.parametrize("stdin, argv, size", [
+    (K2_EDGELIST, ["--op=shadow", "--m=50000"], "2500000000 edges"),
+    ("1 0\n", ["--op=splitting", "--m=500000"], "500001 vertices"),
+    (K2_EDGELIST, ["--op=splitting", "--m=50000", "--emit=graph6"],
+     "833358334 graph6 data bytes"),
+])
+def test_derive_rejects_sizes_above_limit(stdin, argv, size, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["derive", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"would have {size}, above the limit {MAX_DERIVED}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +388,17 @@ def test_verify_corpus_seed_reaches_corpus(capsys):
                for row in json.loads(out)["results"]["reports"]]
     assert emitted == rows(run_suite(default_corpus(9), (1,)))
     assert emitted != rows(run_suite(default_corpus(42), (1,)))
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vel.cli", "verify", "--corpus=default", "--output=json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # the output is far larger than the pipe's buffer
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vel import graphs
 from vel.graphs import (
@@ -26,7 +28,7 @@ from vel.graphs import (
 def test_from_edge_list_k2():
     g = Graph(2, [(0, 1)])
     assert g.n == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_from_edge_list_p3():
@@ -36,7 +38,7 @@ def test_from_edge_list_p3():
 
 def test_from_edge_list_collapses_orientations_and_duplicates():
     g = Graph(4, [(0, 1), (1, 0), (2, 3)])
-    assert g.edges == ((0, 1), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
 
 
 def test_from_edge_list_rejects_self_loop():
@@ -64,6 +66,65 @@ def test_graph_equality_ignores_input_order():
 def test_negative_vertex_count_rejected():
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+_pairs = st.integers(min_value=2, max_value=30).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda p: p[0] != p[1]), max_size=60),
+    st.sampled_from([int, np.int32, np.int64])))
+
+
+@settings(max_examples=150)
+@given(_pairs)
+def test_edges_are_sorted_deduplicated_min_max_pairs(case):
+    n, pairs, to_int = case
+    pairs = pairs + [(j, i) for i, j in pairs[::3]] + pairs[:5]  # both orientations, duplicates
+    g = Graph(n, [(to_int(i), to_int(j)) for i, j in pairs])
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.num_edges, 2)
+    assert g.edges.tolist() == [list(p) for p in sorted({(min(p), max(p)) for p in pairs})]
+
+
+def test_vertex_counts_whose_square_overflows_int64_keep_edges_exact():
+    n = 2**40
+    g = Graph(n, [(n - 1, n - 2), (0, 1), (1, 0), (2**32, 3)])
+    assert g.edges.tolist() == [[0, 1], [3, 2**32], [n - 2, n - 1]]
+
+
+def test_equal_graphs_hash_equal():
+    a = Graph(4, [(2, 1), (0, 3), (1, 2)])
+    b = Graph(4, np.array([[0, 3], [1, 2]], dtype=np.int32))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Graph(5, [(0, 3), (1, 2)]) and a != Graph(4, [(0, 3)])
+    assert a != a.edges.tolist()
+
+
+def test_edges_are_a_read_only_copy():
+    pairs = np.array([[0, 1], [1, 2]])
+    g = Graph(3, pairs)
+    pairs[0] = (0, 2)
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert not np.shares_memory(g.edges, pairs)
+    with pytest.raises(ValueError, match="read-only"):
+        g.edges[0, 0] = 2
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+    ([(0, 1), (9, 0), (2, 2)], r"edge \(0, 9\) out of range for n=3"),
+    ([(-1, 2), (1, 1)], r"edge \(-1, 2\) out of range for n=3"),
+    ([(1, 1), (-1, 2)], "self-loop at vertex 1"),
+])
+def test_first_bad_pair_in_input_order_is_named(pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(3, pairs)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 2), (3, 4, 5)], [0, 1], np.zeros((2, 2, 2), dtype=int), [[0], [1]]])
+def test_edges_must_be_pairs(edges):
+    with pytest.raises(ValueError, match=r"\(E, 2\)"):
+        Graph(6, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +214,22 @@ def test_graph6_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+def test_graph6_round_trip_and_networkx_agree(n):
+    nx = pytest.importorskip("networkx")
+    g = gnp_random_graph(n, 0.5, np.random.default_rng(n))
+    encoded = to_graph6(g)
+    assert encoded.startswith("~") == (n >= 63)  # the 18-bit size header
+    assert parse_graph6(encoded) == g
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(g.edges.tolist())
+    assert nx.to_graph6_bytes(reference, header=False) == encoded.encode() + b"\n"
+    decoded = nx.from_graph6_bytes(encoded.encode())
+    assert decoded.number_of_nodes() == n
+    assert sorted(sorted(e) for e in decoded.edges()) == g.edges.tolist()
+
+
 def test_graph6_round_trip_wide_header():
     # n = 70 exercises the 18-bit size header
     g = cycle_graph(70)
@@ -168,7 +245,7 @@ def test_graph6_matches_networkx():
               gnp_random_graph(9, 0.5, np.random.default_rng(7))]:
         decoded = nx.from_graph6_bytes(to_graph6(g).encode())
         assert decoded.number_of_nodes() == g.n
-        assert {tuple(sorted(e)) for e in decoded.edges()} == set(g.edges)
+        assert sorted(sorted(e) for e in decoded.edges()) == g.edges.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +294,7 @@ def test_named_graph_cycle():
 
 def test_named_graph_star_center_zero():
     g = star_graph(4)
-    assert g.edges == ((0, 1), (0, 2), (0, 3))
+    assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3]]
 
 
 def test_named_graph_complete():
