@@ -3,21 +3,20 @@
 The per-vertex energy of vertex k is sum_i |lambda_i| u_{ik}^2 over the
 adjacency eigendecomposition; it partitions the total energy
 sum_i |lambda_i| across vertices.  This package computes those quantities
-with a cyclic Jacobi eigensolver, constructs the m-splitting and m-shadow
-graphs, and certifies numerically that their vertex energies follow the
-closed-form scaling laws (originals x (2m+1)/sqrt(4m+1) and copies x
-2/sqrt(4m+1) for the splitting; unchanged for the shadow).
+with a cyclic Jacobi eigensolver, builds the m-splitting and m-shadow as
+blow-ups B (x) A of the base adjacency, and certifies numerically the one
+law both follow: vertex (r, i) has energy |B|_rr * E_A(i), the spectrum is
+{beta * lambda} and the total energy is E(B) * E(A).
 """
 
 from .derived import (
-    SplittingFactors,
+    BlockPattern,
     m_shadow,
     m_splitting,
-    predicted_shadow_spectrum,
-    predicted_shadow_vertex_energies,
-    predicted_splitting_spectrum,
-    predicted_splitting_vertex_energies,
-    splitting_factors,
+    predicted_spectrum,
+    predicted_vertex_energies,
+    shadow_pattern,
+    splitting_pattern,
 )
 from .graphs import (
     Graph,
@@ -40,7 +39,6 @@ from .spectral import (
     Spectrum,
     eigendecompose_symmetric,
     graph_energy,
-    matrix_abs_diagonal,
     vertex_energies,
 )
 from .verify import (

@@ -19,7 +19,7 @@ import sys
 from itertools import chain
 from typing import Iterable
 
-from .derived import m_shadow, m_splitting
+from .derived import m_shadow, m_splitting, shadow_pattern, splitting_pattern
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -138,10 +138,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_derived_size(g: Graph, args: argparse.Namespace) -> None:
-    copies, blocks = ((args.m + 1, 2 * args.m + 1) if args.op == "splitting"
-                      else (args.m, args.m ** 2))
-    n = copies * g.n
-    sizes = [(n, "vertices"), (blocks * g.num_edges, "edges")]
+    pattern = (splitting_pattern if args.op == "splitting" else shadow_pattern)(args.m)
+    n = pattern.copies * g.n
+    sizes = [(n, "vertices"), (pattern.block_count * g.num_edges, "edges")]
     if args.emit == "graph6":
         sizes.append(((n * (n - 1) // 2 + 5) // 6, "graph6 data bytes"))
     for size, what in sizes:

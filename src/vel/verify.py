@@ -10,13 +10,13 @@ the max absolute deviation; the total-energy and partition claims record
 the deviation scaled by max(1, |reference|), i.e. relative for large
 values.  A report passes exactly when its deviation is within tolerance.
 
-The six scaling claims are rows of one table, _SCALING_CLAIMS, which
-run_suite, the one verification entry point, evaluates.
+The six scaling claims are the three laws of _LAWS applied to each of the
+two constructions of _CONSTRUCTIONS; run_suite, the one verification entry
+point, evaluates them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,10 +25,10 @@ import numpy as np
 from .derived import (
     m_shadow,
     m_splitting,
-    predicted_shadow_spectrum,
-    predicted_shadow_vertex_energies,
-    predicted_splitting_spectrum,
-    predicted_splitting_vertex_energies,
+    predicted_spectrum,
+    predicted_vertex_energies,
+    shadow_pattern,
+    splitting_pattern,
 )
 from .graphs import (
     Graph,
@@ -72,28 +72,26 @@ def _scaled_deviation(value: float, reference: float) -> float:
     return abs(value - reference) / max(1.0, abs(reference))
 
 
-# claim id -> (construction, deviation rule, paths).  paths maps (base
-# spectrum, derived spectrum, m) to (numeric, predicted): the derived graph's
-# own eigensolve and the closed-form scaling of the base graph.  Rules:
-# "entrywise" max |numeric - predicted|, "per_vertex" the same keeping every
-# entry, "scaled" _scaled_deviation of the two totals.
-_SCALING_CLAIMS = {
-    "splitting_vertex_energy": ("m_splitting", "per_vertex", lambda b, d, m: (
-        vertex_energies(d),
-        predicted_splitting_vertex_energies(vertex_energies(b), m))),
-    "splitting_total_energy": ("m_splitting", "scaled", lambda b, d, m: (
-        graph_energy(d), math.sqrt(4.0 * m + 1.0) * graph_energy(b))),
-    "splitting_spectrum": ("m_splitting", "entrywise", lambda b, d, m: (
-        d.eigenvalues, predicted_splitting_spectrum(b.eigenvalues, m))),
-    "shadow_vertex_energy": ("m_shadow", "per_vertex", lambda b, d, m: (
-        vertex_energies(d),
-        predicted_shadow_vertex_energies(vertex_energies(b), m))),
-    "shadow_total_energy": ("m_shadow", "scaled", lambda b, d, m: (
-        graph_energy(d), m * graph_energy(b))),
-    "shadow_spectrum": ("m_shadow", "entrywise", lambda b, d, m: (
-        d.eigenvalues, predicted_shadow_spectrum(b.eigenvalues, m))),
+# construction -> (block pattern, derived graph) of g at m; the blow-up is
+# named, not stored, so it resolves through this module on every call
+_CONSTRUCTIONS = {
+    "splitting": lambda g, m: (splitting_pattern(m), m_splitting(g, m)),
+    "shadow": lambda g, m: (shadow_pattern(m), m_shadow(g, m)),
 }
-CLAIM_IDS = (*_SCALING_CLAIMS, "energy_partition")
+# law -> (deviation rule, paths).  paths maps (pattern, base spectrum,
+# derived spectrum) to (numeric, predicted): the derived graph's own
+# eigensolve and the pattern's closed form applied to the base graph.
+# Rules: "entrywise" max |numeric - predicted|, "per_vertex" the same
+# keeping every entry, "scaled" _scaled_deviation of the two totals.
+_LAWS = {
+    "vertex_energy": ("per_vertex", lambda p, b, d: (
+        vertex_energies(d), predicted_vertex_energies(p, vertex_energies(b)))),
+    "total_energy": ("scaled", lambda p, b, d: (
+        graph_energy(d), p.energy * graph_energy(b))),
+    "spectrum": ("entrywise", lambda p, b, d: (
+        d.eigenvalues, predicted_spectrum(p, b.eigenvalues))),
+}
+CLAIM_IDS = (*(f"{c}_{law}" for c in _CONSTRUCTIONS for law in _LAWS), "energy_partition")
 
 
 def _deviation(rule: str, numeric, predicted) -> tuple[float, tuple[float, ...] | None]:
@@ -152,12 +150,13 @@ def run_suite(corpus: Sequence[tuple[Graph, str]],
             "energy_partition", descriptor, 0,
             _scaled_deviation(partition_sum, graph_energy(base)), PARTITION_TOL))
         for m in m_values:
-            derived = {"m_splitting": graph_spectrum(m_splitting(g, m)),
-                       "m_shadow": graph_spectrum(m_shadow(g, m))}
-            for claim_id, (construction, rule, paths) in _SCALING_CLAIMS.items():
-                numeric, predicted = paths(base, derived[construction], m)
-                deviation, per_vertex = _deviation(rule, numeric, predicted)
-                reports.append(VerificationReport(claim_id, descriptor, m, deviation,
-                                                  tol, per_vertex))
+            for construction, build in _CONSTRUCTIONS.items():
+                pattern, derived = build(g, m)
+                spectrum = graph_spectrum(derived)
+                for law, (rule, paths) in _LAWS.items():
+                    numeric, predicted = paths(pattern, base, spectrum)
+                    deviation, per_vertex = _deviation(rule, numeric, predicted)
+                    reports.append(VerificationReport(f"{construction}_{law}", descriptor,
+                                                      m, deviation, tol, per_vertex))
     reports.sort(key=lambda r: (r.graph_descriptor, r.claim_id, r.m))
     return reports

@@ -12,20 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import matrix_abs_diagonal
 from vel.derived import (
     m_shadow,
     m_splitting,
-    predicted_shadow_spectrum,
-    predicted_shadow_vertex_energies,
-    predicted_splitting_spectrum,
-    predicted_splitting_vertex_energies,
+    predicted_spectrum,
+    predicted_vertex_energies,
+    shadow_pattern,
+    splitting_pattern,
 )
 from vel.graphs import Graph, adjacency_matrix
 from vel.spectral import (
     Spectrum,
     graph_energy,
     graph_spectrum,
-    matrix_abs_diagonal,
     vertex_energies,
 )
 from vel.verify import default_corpus
@@ -72,7 +72,7 @@ def test_criterion_1_splitting_vertex_energy_law(corpus_cache):
         for m in M_VALUES:
             _, spl_spectrum, _, _ = entry.derived[m]
             dev = np.abs(vertex_energies(spl_spectrum)
-                         - predicted_splitting_vertex_energies(base, m))
+                         - predicted_vertex_energies(splitting_pattern(m), base))
             worst = max(worst, float(dev.max(initial=0.0)))
     _conclude(1, "splitting vertex-energy law", worst, 1e-8)
 
@@ -92,7 +92,7 @@ def test_criterion_3_shadow_vertex_energy_invariance(corpus_cache):
         for m in M_VALUES:
             _, _, _, sh_spectrum = entry.derived[m]
             dev = np.abs(vertex_energies(sh_spectrum)
-                         - predicted_shadow_vertex_energies(base, m))
+                         - predicted_vertex_energies(shadow_pattern(m), base))
             worst = max(worst, float(dev.max(initial=0.0)))
     _conclude(3, "shadow vertex-energy invariance", worst, 1e-8)
 
@@ -119,10 +119,10 @@ def test_criterion_5_spectrum_maps(corpus_cache):
         for m in M_VALUES:
             _, spl_spectrum, _, sh_spectrum = entry.derived[m]
             dev = np.abs(spl_spectrum.eigenvalues
-                         - predicted_splitting_spectrum(base, m))
+                         - predicted_spectrum(splitting_pattern(m), base))
             worst = max(worst, float(dev.max(initial=0.0)))
             dev = np.abs(sh_spectrum.eigenvalues
-                         - predicted_shadow_spectrum(base, m))
+                         - predicted_spectrum(shadow_pattern(m), base))
             worst = max(worst, float(dev.max(initial=0.0)))
     _conclude(5, "spectrum maps for both constructions", worst, 1e-8)
 

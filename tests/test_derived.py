@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from vel.derived import (
     m_shadow,
     m_splitting,
-    predicted_shadow_spectrum,
-    predicted_shadow_vertex_energies,
-    predicted_splitting_spectrum,
-    predicted_splitting_vertex_energies,
-    splitting_factors,
+    predicted_spectrum,
+    predicted_vertex_energies,
+    shadow_pattern,
+    splitting_pattern,
 )
 from vel.graphs import (
     Graph,
@@ -44,58 +43,95 @@ SAMPLE_GRAPHS = [
 
 
 # ---------------------------------------------------------------------------
-# scaling factors
+# block patterns
 # ---------------------------------------------------------------------------
 
+def expand(runs):
+    """The (value, multiplicity) runs as one flat array."""
+    return np.repeat([value for value, _ in runs], [count for _, count in runs])
+
+
+def arrow_factors(m):
+    """(alpha_plus, alpha_minus, original factor, copy factor) from the runs."""
+    (alpha_plus, _), (alpha_minus, _), (zero, zeros) = splitting_pattern(m).spectrum
+    (original, ones), (copy, copies) = splitting_pattern(m).abs_diagonal
+    assert (zero, zeros, ones, copies) == (0.0, m - 1, 1, m)
+    return alpha_plus, alpha_minus, original, copy
+
+
 def test_factors_m1():
-    f = splitting_factors(1)
-    assert f.original_factor == pytest.approx(3.0 / SQRT5, abs=1e-15)
-    assert f.copy_factor == pytest.approx(2.0 / SQRT5, abs=1e-15)
-    assert f.alpha_plus == pytest.approx((1.0 + SQRT5) / 2.0, abs=1e-15)
-    assert f.alpha_minus == pytest.approx((1.0 - SQRT5) / 2.0, abs=1e-15)
+    alpha_plus, alpha_minus, original, copy = arrow_factors(1)
+    assert original == pytest.approx(3.0 / SQRT5, abs=1e-15)
+    assert copy == pytest.approx(2.0 / SQRT5, abs=1e-15)
+    assert alpha_plus == pytest.approx((1.0 + SQRT5) / 2.0, abs=1e-15)
+    assert alpha_minus == pytest.approx((1.0 - SQRT5) / 2.0, abs=1e-15)
 
 
 def test_factors_m2_are_rational():
-    f = splitting_factors(2)
-    assert f.original_factor == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert f.copy_factor == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert f.alpha_plus == 2.0
-    assert f.alpha_minus == -1.0
+    alpha_plus, alpha_minus, original, copy = arrow_factors(2)
+    assert original == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert copy == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert alpha_plus == 2.0
+    assert alpha_minus == -1.0
 
 
 def test_factors_m3():
-    f = splitting_factors(3)
+    _, _, original, copy = arrow_factors(3)
     root13 = math.sqrt(13.0)
-    assert f.original_factor == pytest.approx(7.0 / root13, abs=1e-15)
-    assert f.copy_factor == pytest.approx(2.0 / root13, abs=1e-15)
+    assert original == pytest.approx(7.0 / root13, abs=1e-15)
+    assert copy == pytest.approx(2.0 / root13, abs=1e-15)
 
 
 def test_factors_reject_bad_m():
     with pytest.raises(ValueError):
-        splitting_factors(0)
+        splitting_pattern(0)
     with pytest.raises(ValueError):
-        splitting_factors(-2)
+        splitting_pattern(-2)
+
+
+def check_factor_identities(m):
+    # the product grows like m, so its check is scaled
+    alpha_plus, alpha_minus, original, copy = arrow_factors(m)
+    root = math.sqrt(4.0 * m + 1.0)
+    assert splitting_pattern(m).energy == root
+    assert shadow_pattern(m).energy == m
+    assert abs(alpha_plus * alpha_minus + m) <= 1e-12 * max(1.0, m)
+    assert abs(alpha_plus - alpha_minus - root) <= 1e-12
+    assert abs(original + m * copy - root) <= 1e-12 * max(1.0, root)
 
 
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factor_identities(m):
-    # the product grows like m, so its check is scaled; see also the fixed
-    # m sweep below
-    f = splitting_factors(m)
-    root = math.sqrt(4.0 * m + 1.0)
-    assert abs(f.alpha_plus * f.alpha_minus + m) <= 1e-12 * max(1.0, m)
-    assert abs(f.alpha_plus - f.alpha_minus - root) <= 1e-12
-    assert abs(f.original_factor + m * f.copy_factor - root) <= 1e-12 * max(1.0, root)
+    check_factor_identities(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 100, 10**3, 10**6])
 def test_factor_identities_fixed_m(m):
-    f = splitting_factors(m)
-    root = math.sqrt(4.0 * m + 1.0)
-    assert abs(f.alpha_plus * f.alpha_minus + m) <= 1e-12 * max(1.0, m)
-    assert abs(f.alpha_plus - f.alpha_minus - root) <= 1e-12
-    assert abs(f.original_factor + m * f.copy_factor - root) <= 1e-12 * max(1.0, root)
+    check_factor_identities(m)
+
+
+@pytest.mark.parametrize("make", [splitting_pattern, shadow_pattern])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 17, 40])
+def test_pattern_closed_forms_match_a_solve_of_b(make, m):
+    # B alone, assembled from its blocks and solved by numpy: the closed
+    # forms are checked without any blow-up
+    pattern = make(m)
+    blocks = list(pattern.blocks())
+    assert pattern.block_count == len(blocks) == len(set(blocks))
+    rows, cols = np.array(blocks).T
+    size = 1 + max(rows.max(), cols.max())
+    b = np.zeros((size, size))
+    b[rows, cols] = 1.0
+    assert pattern.copies == b.shape[0]
+    np.testing.assert_array_equal(b, b.T)
+    beta, u = np.linalg.eigh(b)
+    tol = 1e-12 * max(1.0, m)
+    np.testing.assert_allclose(np.sort(expand(pattern.spectrum)), beta, rtol=0, atol=tol)
+    np.testing.assert_allclose(expand(pattern.abs_diagonal),
+                               np.diag(u @ np.diag(np.abs(beta)) @ u.T), rtol=0, atol=tol)
+    energy = float(np.sum(np.abs(beta)))
+    assert abs(pattern.energy - energy) <= 1e-12 * max(1.0, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +234,35 @@ def test_shadow_counts_and_kronecker_structure(m):
 def test_predicted_splitting_spectrum_golden():
     phi = (1.0 + SQRT5) / 2.0
     np.testing.assert_allclose(
-        predicted_splitting_spectrum([1.0, -1.0], 1),
+        predicted_spectrum(splitting_pattern(1), [1.0, -1.0]),
         sorted([phi, 1.0 - phi, -phi, phi - 1.0]), atol=1e-15)
 
 
 def test_predicted_splitting_spectrum_zero_padding():
-    np.testing.assert_array_equal(predicted_splitting_spectrum([0.0], 3),
+    np.testing.assert_array_equal(predicted_spectrum(splitting_pattern(3), [0.0]),
                                   np.zeros(4))
 
 
 def test_predicted_splitting_spectrum_m2():
     # alpha are 2 and -1 at m=2
-    got = predicted_splitting_spectrum([SQRT2, 0.0, -SQRT2], 2)
+    got = predicted_spectrum(splitting_pattern(2), [SQRT2, 0.0, -SQRT2])
     expected = sorted([2 * SQRT2, -SQRT2, 0.0, 0.0, -2 * SQRT2, SQRT2, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
 def test_predicted_shadow_spectrum_doubling():
-    np.testing.assert_array_equal(predicted_shadow_spectrum([1.0, -1.0], 2),
+    np.testing.assert_array_equal(predicted_spectrum(shadow_pattern(2), [1.0, -1.0]),
                                   [-2.0, 0.0, 0.0, 2.0])
 
 
 def test_predicted_shadow_spectrum_m1_identity():
     values = [0.3, -1.2, 4.0]
-    np.testing.assert_array_equal(predicted_shadow_spectrum(values, 1),
+    np.testing.assert_array_equal(predicted_spectrum(shadow_pattern(1), values),
                                   sorted(values))
 
 
 def test_predicted_shadow_spectrum_m3():
-    got = predicted_shadow_spectrum([SQRT2, 0.0, -SQRT2], 3)
+    got = predicted_spectrum(shadow_pattern(3), [SQRT2, 0.0, -SQRT2])
     expected = sorted([3 * SQRT2, 0.0, -3 * SQRT2] + [0.0] * 6)
     np.testing.assert_allclose(got, expected, atol=1e-15)
 
@@ -237,36 +273,35 @@ def test_predicted_shadow_spectrum_m3():
 
 def test_predicted_splitting_energies_k2():
     np.testing.assert_allclose(
-        predicted_splitting_vertex_energies([1.0, 1.0], 1),
+        predicted_vertex_energies(splitting_pattern(1), [1.0, 1.0]),
         [3 / SQRT5, 3 / SQRT5, 2 / SQRT5, 2 / SQRT5], atol=1e-15)
 
 
 def test_predicted_splitting_energies_k2_m2():
     np.testing.assert_allclose(
-        predicted_splitting_vertex_energies([1.0, 1.0], 2),
+        predicted_vertex_energies(splitting_pattern(2), [1.0, 1.0]),
         [5 / 3, 5 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3], atol=1e-15)
 
 
 def test_predicted_splitting_energies_zero():
     np.testing.assert_array_equal(
-        predicted_splitting_vertex_energies([0.0, 0.0, 0.0], 5), np.zeros(18))
+        predicted_vertex_energies(splitting_pattern(5), [0.0, 0.0, 0.0]), np.zeros(18))
 
 
 def test_predicted_shadow_energies_tiling():
     np.testing.assert_array_equal(
-        predicted_shadow_vertex_energies([1.0, 1.0], 2), np.ones(4))
+        predicted_vertex_energies(shadow_pattern(2), [1.0, 1.0]), np.ones(4))
     base = [SQRT2 / 2, SQRT2, SQRT2 / 2]
-    np.testing.assert_array_equal(predicted_shadow_vertex_energies(base, 3),
+    np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(3), base),
                                   np.tile(base, 3))
-    np.testing.assert_array_equal(predicted_shadow_vertex_energies(base, 1), base)
+    np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(1), base), base)
 
 
 def test_predictors_reject_bad_m():
-    for fn in (predicted_splitting_spectrum, predicted_shadow_spectrum,
-               predicted_splitting_vertex_energies,
-               predicted_shadow_vertex_energies):
-        with pytest.raises(ValueError):
-            fn([1.0], 0)
+    for make in (splitting_pattern, shadow_pattern):
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                make(m)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +315,7 @@ def test_predictors_reject_bad_m():
 )
 def test_splitting_sum_law(base_energies, m):
     total = sum(base_energies)
-    predicted = float(np.sum(predicted_splitting_vertex_energies(base_energies, m)))
+    predicted = float(np.sum(predicted_vertex_energies(splitting_pattern(m), base_energies)))
     expected = math.sqrt(4.0 * m + 1.0) * total
     assert abs(predicted - expected) <= 1e-10 * max(1.0, expected)
 
@@ -292,5 +327,5 @@ def test_splitting_sum_law(base_energies, m):
 )
 def test_shadow_sum_law(base_energies, m):
     total = sum(base_energies)
-    predicted = float(np.sum(predicted_shadow_vertex_energies(base_energies, m)))
+    predicted = float(np.sum(predicted_vertex_energies(shadow_pattern(m), base_energies)))
     assert abs(predicted - m * total) <= 1e-10 * max(1.0, m * total)

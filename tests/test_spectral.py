@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_abs_diagonal
 from vel.graphs import (
     Graph,
     adjacency_matrix,
@@ -20,7 +21,6 @@ from vel.spectral import (
     eigendecompose_symmetric,
     graph_energy,
     graph_spectrum,
-    matrix_abs_diagonal,
     vertex_energies,
 )
 

@@ -146,6 +146,18 @@ def test_run_suite_small_corpus_all_pass():
     assert {r.claim_id for r in reports} == set(CLAIM_IDS)
 
 
+def test_claim_ids_are_pinned_in_order():
+    assert CLAIM_IDS == (
+        "splitting_vertex_energy",
+        "splitting_total_energy",
+        "splitting_spectrum",
+        "shadow_vertex_energy",
+        "shadow_total_energy",
+        "shadow_spectrum",
+        "energy_partition",
+    )
+
+
 def test_run_suite_sorted_deterministically():
     reports = run_suite(SMALL_CORPUS, m_values=(2, 1))
     keys = [(r.graph_descriptor, r.claim_id, r.m) for r in reports]
