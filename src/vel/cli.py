@@ -5,9 +5,11 @@ Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
 or input error.  Floating-point values in JSON/CSV output carry 15
 significant digits.  verify's --tol lies in (0, 1e-4].  energy and verify
 refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
-(m-max + 1) * n, the splitting graph's.  derive refuses a derived graph with
-more than MAX_DERIVED vertices, edges or graph6 data bytes, before building
-it.  A stdout closed by its reader ends the command with exit 2.
+(m-max + 1) * n, the splitting graph's, with n counted as at least 1, so
+--m-max stays at most 4095 on the 0-vertex graph too.  derive's --m lies in
+[1, 2**63 - 1], and derive refuses a derived graph with more than
+MAX_DERIVED vertices, edges or graph6 data bytes, before building it.  A
+stdout closed by its reader ends the command with exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from itertools import chain
 from typing import Iterable
 
-from .derived import m_shadow, m_splitting, shadow_pattern, splitting_pattern
+from .derived import CONSTRUCTIONS
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -138,7 +140,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_derived_size(g: Graph, args: argparse.Namespace) -> None:
-    pattern = (splitting_pattern if args.op == "splitting" else shadow_pattern)(args.m)
+    pattern = CONSTRUCTIONS[args.op][0](args.m)
     n = pattern.copies * g.n
     sizes = [(n, "vertices"), (pattern.block_count * g.num_edges, "edges")]
     if args.emit == "graph6":
@@ -150,11 +152,11 @@ def _check_derived_size(g: Graph, args: argparse.Namespace) -> None:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        raise InputError(f"--m must be >= 1, got {args.m}")
+    if not 1 <= args.m < 2**63:
+        raise InputError(f"--m must lie in [1, 2**63 - 1], got {args.m}")
     g = _load_graph(args.input, args.format)
     _check_derived_size(g, args)
-    derived = m_splitting(g, args.m) if args.op == "splitting" else m_shadow(g, args.m)
+    derived = CONSTRUCTIONS[args.op][1](g, args.m)
     labels = []
     for flat in range(derived.n):
         copy, base = divmod(flat, g.n)
@@ -189,7 +191,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"--tol must lie in (0, {MAX_TOL:g}], got {args.tol}")
     if args.corpus is not None and args.input is not None:
         raise InputError("give either an input graph or --corpus=default, not both")
-    m_values = tuple(range(1, args.m_max + 1))
     if args.corpus is not None:
         corpus = default_corpus(args.seed)
         inputs: dict = {"corpus": args.corpus, "seed": args.seed}
@@ -199,8 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs = {"source": args.input, "format": args.format}
     else:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
-    _check_dim((args.m_max + 1) * max(graph.n for graph, _ in corpus), "splitting graph")
-    reports = run_suite(corpus, m_values, args.tol)
+    _check_dim((args.m_max + 1) * max(1, *(graph.n for graph, _ in corpus)),
+               "splitting graph")
+    reports = run_suite(corpus, range(1, args.m_max + 1), args.tol)
     inputs.update({"m_max": args.m_max, "tol": _round15(args.tol),
                    "eig_tol": _round15(EIG_TOL)})
     all_passed = all(r.passed for r in reports)
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("input", nargs="?", default="-")
     derive.add_argument("--format", choices=("edgelist", "graph6"),
                         default="edgelist")
-    derive.add_argument("--op", choices=("splitting", "shadow"), required=True)
+    derive.add_argument("--op", choices=tuple(CONSTRUCTIONS), required=True)
     derive.add_argument("--m", type=int, default=1, help="number of copies")
     derive.add_argument("--emit", choices=("edgelist", "graph6"),
                         default="edgelist", help="output graph encoding")

@@ -94,6 +94,14 @@ def m_shadow(g: Graph, m: int) -> Graph:
     return _blow_up(g, shadow_pattern(m))
 
 
+# CLI name -> (block pattern of m, derived graph of (g, m)); the blow-up is
+# named, not stored, so it resolves through this module on every call
+CONSTRUCTIONS = {
+    "splitting": (splitting_pattern, lambda g, m: m_splitting(g, m)),
+    "shadow": (shadow_pattern, lambda g, m: m_shadow(g, m)),
+}
+
+
 def predicted_spectrum(pattern: BlockPattern, base_eigenvalues) -> np.ndarray:
     """Spectrum of B (x) A, sorted ascending: every beta times every lambda."""
     lam = np.asarray(base_eigenvalues, dtype=float)

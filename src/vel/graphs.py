@@ -185,6 +185,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"line {head_no}: header must be two integers") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {head_no}: negative count in header")
+    if n >= 2**63:
+        raise GraphFormatError(
+            f"line {head_no}: vertex count {n} above the int64 limit 2**63 - 1")
     body = rows[1:]
     if len(body) != m:
         raise GraphFormatError(

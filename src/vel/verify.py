@@ -10,9 +10,9 @@ the max absolute deviation; the total-energy and partition claims record
 the deviation scaled by max(1, |reference|), i.e. relative for large
 values.  A report passes exactly when its deviation is within tolerance.
 
-The six scaling claims are the three laws of _LAWS applied to each of the
-two constructions of _CONSTRUCTIONS; run_suite, the one verification entry
-point, evaluates them.
+The six scaling claims are the three laws of _LAWS, each of which computes
+its own deviation, applied to each construction of derived.CONSTRUCTIONS;
+run_suite, the one verification entry point, evaluates them.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .derived import (
-    m_shadow,
-    m_splitting,
-    predicted_spectrum,
-    predicted_vertex_energies,
-    shadow_pattern,
-    splitting_pattern,
-)
+from .derived import CONSTRUCTIONS, predicted_spectrum, predicted_vertex_energies
 from .graphs import (
     Graph,
     complete_bipartite_graph,
@@ -72,35 +65,19 @@ def _scaled_deviation(value: float, reference: float) -> float:
     return abs(value - reference) / max(1.0, abs(reference))
 
 
-# construction -> (block pattern, derived graph) of g at m; the blow-up is
-# named, not stored, so it resolves through this module on every call
-_CONSTRUCTIONS = {
-    "splitting": lambda g, m: (splitting_pattern(m), m_splitting(g, m)),
-    "shadow": lambda g, m: (shadow_pattern(m), m_shadow(g, m)),
-}
-# law -> (deviation rule, paths).  paths maps (pattern, base spectrum,
-# derived spectrum) to (numeric, predicted): the derived graph's own
-# eigensolve and the pattern's closed form applied to the base graph.
-# Rules: "entrywise" max |numeric - predicted|, "per_vertex" the same
-# keeping every entry, "scaled" _scaled_deviation of the two totals.
+# law -> (keeps per-vertex deviations, deviations).  deviations maps
+# (pattern, base spectrum, derived spectrum) to the gap between the derived
+# graph's own eigensolve and the pattern's closed form applied to the base
+# graph: entrywise |numeric - predicted|, or _scaled_deviation of two totals.
 _LAWS = {
-    "vertex_energy": ("per_vertex", lambda p, b, d: (
-        vertex_energies(d), predicted_vertex_energies(p, vertex_energies(b)))),
-    "total_energy": ("scaled", lambda p, b, d: (
+    "vertex_energy": (True, lambda p, b, d: np.abs(
+        vertex_energies(d) - predicted_vertex_energies(p, vertex_energies(b)))),
+    "total_energy": (False, lambda p, b, d: _scaled_deviation(
         graph_energy(d), p.energy * graph_energy(b))),
-    "spectrum": ("entrywise", lambda p, b, d: (
-        d.eigenvalues, predicted_spectrum(p, b.eigenvalues))),
+    "spectrum": (False, lambda p, b, d: np.abs(
+        d.eigenvalues - predicted_spectrum(p, b.eigenvalues))),
 }
-CLAIM_IDS = (*(f"{c}_{law}" for c in _CONSTRUCTIONS for law in _LAWS), "energy_partition")
-
-
-def _deviation(rule: str, numeric, predicted) -> tuple[float, tuple[float, ...] | None]:
-    """(max deviation, per-vertex deviations or None) under a claim's rule."""
-    if rule == "scaled":
-        return _scaled_deviation(numeric, predicted), None
-    deviations = np.abs(numeric - predicted)
-    per_vertex = tuple(float(d) for d in deviations) if rule == "per_vertex" else None
-    return float(deviations.max(initial=0.0)), per_vertex
+CLAIM_IDS = (*(f"{c}_{law}" for c in CONSTRUCTIONS for law in _LAWS), "energy_partition")
 
 
 def default_corpus(seed: int = 42) -> list[tuple[Graph, str]]:
@@ -150,13 +127,14 @@ def run_suite(corpus: Sequence[tuple[Graph, str]],
             "energy_partition", descriptor, 0,
             _scaled_deviation(partition_sum, graph_energy(base)), PARTITION_TOL))
         for m in m_values:
-            for construction, build in _CONSTRUCTIONS.items():
-                pattern, derived = build(g, m)
-                spectrum = graph_spectrum(derived)
-                for law, (rule, paths) in _LAWS.items():
-                    numeric, predicted = paths(pattern, base, spectrum)
-                    deviation, per_vertex = _deviation(rule, numeric, predicted)
-                    reports.append(VerificationReport(f"{construction}_{law}", descriptor,
-                                                      m, deviation, tol, per_vertex))
+            for construction, (pattern_of, build) in CONSTRUCTIONS.items():
+                pattern = pattern_of(m)
+                spectrum = graph_spectrum(build(g, m))
+                for law, (keeps_per_vertex, deviations) in _LAWS.items():
+                    gaps = deviations(pattern, base, spectrum)
+                    per_vertex = tuple(float(d) for d in gaps) if keeps_per_vertex else None
+                    reports.append(VerificationReport(
+                        f"{construction}_{law}", descriptor, m,
+                        float(np.max(gaps, initial=0.0)), tol, per_vertex))
     reports.sort(key=lambda r: (r.graph_descriptor, r.claim_id, r.m))
     return reports

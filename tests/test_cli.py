@@ -201,6 +201,24 @@ def test_derive_rejects_bad_m(k2_file, capsys):
     assert "--m" in err
 
 
+@pytest.mark.parametrize("stdin, op", [(K2_EDGELIST, "splitting"), ("0 0\n", "shadow")])
+@pytest.mark.parametrize("m", [2**63, 10**400], ids=["2^63", "10^400"])
+def test_derive_rejects_m_beyond_int64(stdin, op, m, monkeypatch, capsys):
+    # the patterns take float(m), which overflows near 1e308, so m is bounded first
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["derive", f"--op={op}", f"--m={m}"], capsys)
+    assert (code, out) == (2, "")
+    assert "--m must lie in [1, 2**63 - 1]" in err
+
+
+def test_energy_rejects_vertex_count_beyond_int64(monkeypatch, capsys):
+    stdin = "99999999999999999999 1\n0 99999999999999999998\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["energy"], capsys)
+    assert (code, out) == (2, "")
+    assert "line 1: vertex count 99999999999999999999 above the int64 limit" in err
+
+
 def test_derive_rejects_unknown_op(k2_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["derive", k2_file, "--op=subdivision"])
@@ -223,6 +241,7 @@ K60_EDGELIST = "60 1770\n" + "".join(f"{i} {j}\n" for i in range(60) for j in ra
     (K60_EDGELIST, ["--op=shadow", "--m=8", "--emit=graph6"], 480, 64 * 1770),
     ("0 0\n", ["--op=splitting", f"--m={10**18}"], 0, 0),
     ("0 0\n", ["--op=shadow", f"--m={10**18}"], 0, 0),
+    ("0 0\n", ["--op=splitting", f"--m={2**63 - 1}"], 0, 0),
 ])
 def test_derive_accepts_sizes_within_limit(stdin, argv, n, edge_count, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -313,7 +332,10 @@ def test_verify_rejects_tol_out_of_range(tol, k2_file, capsys):
 @pytest.mark.parametrize("argv,stdin,dim", [
     (["energy"], "200000 0\n", 200000),
     (["verify", "-", "--m-max=3000"], K2_EDGELIST, 3001 * 2),
-], ids=["energy", "verify"])
+    # the 0-vertex graph counts as one vertex, so --m-max stays bounded
+    (["verify", "-", "--m-max=4096"], "0 0\n", 4097),
+    (["verify", "-", f"--m-max={10**30}"], "0 0\n", 10**30 + 1),
+], ids=["energy", "verify", "verify_zero_vertex", "verify_huge_m_max"])
 def test_rejects_dimension_above_limit(argv, stdin, dim, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run_cli(argv, capsys)

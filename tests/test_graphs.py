@@ -199,6 +199,17 @@ def test_parse_graph6_rejects_bare_tilde():
         parse_graph6("~")
 
 
+def test_parse_graph6_36_bit_header():
+    # '~~' then six size bytes: '?????B' is n = 3, so the body 'w' is K3 again
+    assert parse_graph6("~~?????Bw") == parse_graph6("Bw")
+    assert parse_graph6("~~??????") == Graph(0)
+
+
+def test_parse_graph6_rejects_short_36_bit_size():
+    with pytest.raises(GraphFormatError, match="short 36-bit size"):
+        parse_graph6("~~???")
+
+
 def test_parse_graph6_rejects_empty():
     with pytest.raises(GraphFormatError):
         parse_graph6("   ")
@@ -262,6 +273,10 @@ def test_parse_edge_list_comments_and_blanks():
     assert parse_edge_list(text) == complete_graph(3)
 
 
+def test_parse_edge_list_accepts_the_int64_vertex_count():
+    assert parse_edge_list("9223372036854775807 0\n").n == 2**63 - 1
+
+
 def test_parse_edge_list_round_trip():
     g = complete_bipartite_graph(2, 4)
     assert parse_edge_list(format_edge_list(g)) == g
@@ -277,6 +292,8 @@ def test_parse_edge_list_round_trip():
     ("3 1\n0 q\n", "line 2"),
     ("3 1\n1 1\n", "self-loop"),
     ("3 1\n0 5\n", "out of range"),
+    ("99999999999999999999 1\n0 99999999999999999998\n", "line 1: vertex count"),
+    ("# comment\n9223372036854775808 0\n", "line 2: vertex count .* int64 limit"),
 ])
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
