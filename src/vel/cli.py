@@ -21,6 +21,8 @@ import sys
 from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
 from .derived import CONSTRUCTIONS
 from .graphs import (
     Graph,
@@ -36,7 +38,7 @@ from .verify import DEFAULT_TOL, default_corpus, run_suite
 SCHEMA_VERSION = "1.0"
 # every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
 MAX_TOL = 1e-4
-# derive's output holds about 1 KB per vertex (JSON labels), so at most ~0.5 GB
+# derive's JSON labels peak at about 0.5 KB per vertex, so at most ~0.25 GB
 MAX_DERIVED = 500_000
 
 EXIT_OK = 0
@@ -95,13 +97,19 @@ def _record(command: str, inputs: dict, results: dict) -> dict:
 
 
 def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterable],
-          text_lines: Iterable[str]) -> None:
+          text_lines: Iterable[str], json_tail: str | None = None) -> None:
     """Print record as JSON, csv_rows as CSV under csv_header, or text_lines.
 
     CSV rows carry the record's rounded floats, so JSON and CSV values agree.
+    json_tail, if given, is the indent=2 JSON of the record's last value,
+    which the record itself holds as an empty list.
     """
     if output == "json":
-        print(json.dumps(record, indent=2))
+        text = json.dumps(record, indent=2)
+        if json_tail is not None:
+            head, _, end = text.rpartition("[]")
+            text = head + json_tail + end
+        print(text)
     elif output == "csv":
         print(csv_header)
         for row in csv_rows:
@@ -151,16 +159,19 @@ def _check_derived_size(g: Graph, args: argparse.Namespace) -> None:
                 f"{args.op} graph would have {size} {what}, above the limit {MAX_DERIVED}")
 
 
+# one (flat, copy, base) label as json.dumps lays it out at indent=2 in
+# record["results"]["labels"]
+_LABEL_JSON = '\n      {\n        "flat": %d,\n        "copy": %d,\n        "base": %d\n      }'
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     if not 1 <= args.m < 2**63:
         raise InputError(f"--m must lie in [1, 2**63 - 1], got {args.m}")
     g = _load_graph(args.input, args.format)
     _check_derived_size(g, args)
     derived = CONSTRUCTIONS[args.op][1](g, args.m)
-    labels = []
-    for flat in range(derived.n):
-        copy, base = divmod(flat, g.n)
-        labels.append({"flat": flat, "copy": copy, "base": base})
+    copy, base = np.divmod(np.arange(derived.n), g.n)
+    labels = list(zip(range(derived.n), copy.tolist(), base.tolist()))
     graph_text = (to_graph6(derived) + "\n" if args.emit == "graph6"
                   else format_edge_list(derived))
     record = _record(
@@ -168,13 +179,16 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         {"source": args.input, "format": args.format, "op": args.op,
          "m": args.m, "emit": args.emit},
         {"base_n": g.n, "n": derived.n, "edge_count": derived.num_edges,
-         "graph": graph_text, "labels": labels},
+         "graph": graph_text, "labels": []},
     )
-    _emit(args.output, record, "flat,copy,base",
-          (row.values() for row in labels),
+    json_labels = None
+    if args.output == "json" and labels:
+        json_labels = ("[" + ",".join([_LABEL_JSON] * len(labels)) + "\n    ]"
+                       ) % tuple(chain.from_iterable(labels))
+    _emit(args.output, record, "flat,copy,base", labels,
           chain([graph_text, "flat  copy  base"],
-                (f"{row['flat']:<4d}  {row['copy']:<4d}  {row['base']}"
-                 for row in labels)))
+                (f"{flat:<4d}  {copy:<4d}  {base}" for flat, copy, base in labels)),
+          json_labels)
     return EXIT_OK
 
 

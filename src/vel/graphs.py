@@ -158,9 +158,10 @@ def to_graph6(g: Graph) -> str:
         raise ValueError(f"n={n} too large for graph6")
     i, j = g.edges.T
     k = j * (j - 1) // 2 + i
-    chunks = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
-    np.bitwise_or.at(chunks, k // 6, (32 >> k % 6).astype(np.uint8))
-    return (bytes(head) + (chunks + 63).tobytes()).decode("ascii")
+    # bit k is bit k % 6 of data byte k // 6's low six, counted from the top
+    bits = np.zeros((n * (n - 1) // 2 + 5) // 6 * 8, dtype=np.uint8)
+    bits[k // 6 * 8 + 2 + k % 6] = 1
+    return (bytes(head) + (np.packbits(bits) + 63).tobytes()).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +212,28 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Render in the edge-list text format (header plus sorted edge lines)."""
-    return f"{g.n} {g.num_edges}\n" + "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist())
+    """Render in the edge-list text format (header plus sorted edge lines).
+
+    Each endpoint is one row of a byte array: its digits, zero-padded to the
+    widest endpoint's, then a space or newline; the padding is masked out.
+    """
+    ends = g.edges.ravel()
+    width = len(str(ends.max())) if ends.size else 1
+    chars = np.empty((ends.size, width + 1), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    higher = np.zeros(ends.size, dtype=np.uint8)
+    for col, p in enumerate(range(width - 1, -1, -1)):
+        q = ends // 10**p
+        # q = 10 * (previous q) + digit, so the digit is exact in wrapping
+        # uint8 arithmetic on the low bytes; int64 % 10 costs several times more
+        low = q.astype(np.uint8)
+        chars[:, col] = low - higher * 10 + 48
+        higher = low
+        if p:
+            keep[:, col] = q > 0
+    chars[0::2, width] = ord(" ")
+    chars[1::2, width] = ord("\n")
+    return f"{g.n} {g.num_edges}\n" + chars[keep].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -19,3 +19,28 @@ def matrix_abs_diagonal(spectrum):
         col = u[:, i]
         acc += abs(lam[i]) * np.outer(col, col)
     return np.diag(acc).copy()
+
+
+def reference_format_edge_list(g):
+    """Edge-list text by one %-template over the edge ints: the encoder that
+    graphs.format_edge_list's digit-array version must match byte for byte."""
+    return f"{g.n} {g.num_edges}\n" + "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist())
+
+
+def reference_to_graph6(g):
+    """graph6 by an unbuffered np.bitwise_or.at per bit: the encoder that
+    graphs.to_graph6's packbits version must match byte for byte."""
+    n = g.n
+    if n < 63:
+        head = [n + 63]
+    elif n <= 258047:
+        head = [126] + [(n >> s & 63) + 63 for s in (12, 6, 0)]
+    elif n <= 68719476735:
+        head = [126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+    else:
+        raise ValueError(f"n={n} too large for graph6")
+    i, j = g.edges.T
+    k = j * (j - 1) // 2 + i
+    chunks = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
+    np.bitwise_or.at(chunks, k // 6, (32 >> k % 6).astype(np.uint8))
+    return (bytes(head) + (chunks + 63).tobytes()).decode("ascii")

@@ -448,6 +448,8 @@ GOLDEN_CASES = {
     "energy_p3": (["energy", "-"], P3_EDGELIST),
     "derive_splitting_p3_m2": (["derive", "-", "--op=splitting", "--m=2"], P3_EDGELIST),
     "derive_shadow_p3_m2": (["derive", "-", "--op=shadow", "--m=2"], P3_EDGELIST),
+    # 12 vertices, so labels and edge ids have two digits
+    "derive_shadow_p3_m4": (["derive", "-", "--op=shadow", "--m=4"], P3_EDGELIST),
     "verify_empty3_m2": (["verify", "-", "--m-max=2"], EMPTY3_EDGELIST),
 }
 
@@ -460,3 +462,30 @@ def test_stdout_matches_golden(case, output, monkeypatch, capsys):
     code, out, err = run_cli([*argv, f"--output={output}"], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{case}.{output}").read_text(encoding="utf-8")
+
+
+# "E[]?" is a 6-vertex graph whose graph6 holds "[]", the JSON of an empty list
+@pytest.mark.parametrize("argv, stdin", [
+    pytest.param(["energy"], P3_EDGELIST, id="energy-p3"),
+    pytest.param(["energy"], "0 0\n", id="energy-n0"),
+    pytest.param(["verify", "-", "--m-max=2"], K2_EDGELIST, id="verify-k2"),
+    pytest.param(["verify", "-"], "0 0\n", id="verify-n0"),
+    pytest.param(["derive", "--op=splitting", "--m=50"], K2_EDGELIST, id="derive-k2-102"),
+    pytest.param(["derive", "--op=shadow", "--m=40", "--emit=graph6"], P3_EDGELIST,
+                 id="derive-p3-120-graph6"),
+    pytest.param(["derive", "--op=splitting", "--m=3"], "1 0\n", id="derive-n1"),
+    pytest.param(["derive", "--op=shadow", "--m=8"], "0 0\n", id="derive-n0"),
+    pytest.param(["derive", "--format=graph6", "--op=shadow", "--m=1", "--emit=graph6"],
+                 "E[]?\n", id="derive-graph6-holding-brackets"),
+])
+def test_json_output_is_the_indent_2_layout(argv, stdin, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli([*argv, "--output=json"], capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert out == json.dumps(record, indent=2) + "\n"
+    if argv[0] == "derive":
+        results = record["results"]
+        base_n, n = results["base_n"], results["n"]
+        assert results["labels"] == [{"flat": f, "copy": f // base_n, "base": f % base_n}
+                                     for f in range(n)]

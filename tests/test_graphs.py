@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_format_edge_list, reference_to_graph6
 
 from vel import graphs
 from vel.graphs import (
@@ -298,6 +299,60 @@ def test_parse_edge_list_round_trip():
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_edge_list(text)
+
+
+# ---------------------------------------------------------------------------
+# encoders against their %-template and bitwise_or.at references
+# ---------------------------------------------------------------------------
+
+def _gnp_array(n, p, seed):
+    """G(n, p) drawn in one vectorised pass, for sizes the family loop is slow at."""
+    i, j = np.triu_indices(n, 1)
+    keep = np.random.default_rng(seed).random(i.size) < p
+    return Graph(n, np.column_stack((i[keep], j[keep])))
+
+
+def _size_id(g):
+    return f"n={g.n},E={g.num_edges}"
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0), Graph(1), Graph(7),
+    Graph(11, [(9, 10)]), Graph(101, [(99, 100)]), Graph(1001, [(999, 1000)]),
+    # every width in one graph, and each endpoint on both sides of a boundary
+    Graph(1001, [(0, 9), (9, 10), (10, 99), (99, 100), (100, 999), (999, 1000),
+                 (0, 1000), (9, 100), (10, 1000)]),
+    Graph(2**63 - 1, [(9, 2**63 - 2)]),
+    Graph(2**63 - 1, [(0, 2**63 - 2), (10**18 - 1, 10**18), (1, 2)]),
+], ids=_size_id)
+def test_format_edge_list_matches_reference(g):
+    assert format_edge_list(g) == reference_format_edge_list(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0), Graph(1), Graph(7), Graph(2, [(0, 1)]),
+    _gnp_array(62, 0.5, 62), _gnp_array(63, 0.5, 63), _gnp_array(200, 0.5, 200),
+    _gnp_array(2000, 0.01, 2000), complete_graph(63),
+], ids=_size_id)
+def test_to_graph6_matches_reference(g):
+    encoded = to_graph6(g)
+    assert encoded == reference_to_graph6(g)
+    assert encoded.startswith("~") == (g.n >= 63)  # the 18-bit size header
+
+
+_edge_sets = st.one_of(st.integers(0, 300), st.integers(2, 2**63 - 1)).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        .filter(lambda p: p[0] != p[1]), max_size=80 if n > 1 else 0)))
+
+
+@settings(max_examples=200)
+@given(_edge_sets)
+def test_encoders_match_references_on_random_edge_sets(case):
+    g = Graph(*case)
+    assert format_edge_list(g) == reference_format_edge_list(g)
+    if g.n <= 300:
+        assert to_graph6(g) == reference_to_graph6(g)
 
 
 # ---------------------------------------------------------------------------
