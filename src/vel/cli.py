@@ -38,7 +38,7 @@ from .verify import DEFAULT_TOL, default_corpus, run_suite
 SCHEMA_VERSION = "1.0"
 # every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
 MAX_TOL = 1e-4
-# derive's JSON labels peak at about 0.5 KB per vertex, so at most ~0.25 GB
+# derive's JSON output peaks at about 0.4 KB per vertex, so at most ~0.2 GB
 MAX_DERIVED = 500_000
 
 EXIT_OK = 0
@@ -96,11 +96,18 @@ def _record(command: str, inputs: dict, results: dict) -> dict:
     }
 
 
-def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterable],
-          text_lines: Iterable[str], json_tail: str | None = None) -> None:
-    """Print record as JSON, csv_rows as CSV under csv_header, or text_lines.
+def _csv(header: str, rows: Iterable[Iterable]) -> Iterable[str]:
+    """CSV lines: header, then rows with floats printed to 15 digits, so the
+    record's rounded floats give the same values in JSON and CSV."""
+    yield header
+    for row in rows:
+        yield ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row)
 
-    CSV rows carry the record's rounded floats, so JSON and CSV values agree.
+
+def _emit(output: str, record: dict, csv_lines: Iterable[str],
+          text_lines: Iterable[str], json_tail: str | None = None) -> None:
+    """Print record as JSON, or csv_lines or text_lines joined into one string.
+
     json_tail, if given, is the indent=2 JSON of the record's last value,
     which the record itself holds as an empty list.
     """
@@ -108,15 +115,11 @@ def _emit(output: str, record: dict, csv_header: str, csv_rows: Iterable[Iterabl
         text = json.dumps(record, indent=2)
         if json_tail is not None:
             head, _, end = text.rpartition("[]")
-            text = head + json_tail + end
-        print(text)
-    elif output == "csv":
-        print(csv_header)
-        for row in csv_rows:
-            print(",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row))
+            print(head, json_tail, end, sep="")  # no copy of the joined text
+        else:
+            print(text)
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(csv_lines if output == "csv" else text_lines))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +139,8 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         {"n": g.n, "edge_count": g.num_edges,
          "vertex_energies": energies, "total_energy": total},
     )
-    _emit(args.output, record, "vertex,energy",
-          [*enumerate(energies), ("total", total)],
+    _emit(args.output, record,
+          _csv("vertex,energy", [*enumerate(energies), ("total", total)]),
           ["vertex  energy", *(f"{k:<6d}  {v:.15g}" for k, v in enumerate(energies)),
            f"total   {total:.15g}"])
     return EXIT_OK
@@ -170,24 +173,29 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     _check_derived_size(g, args)
     derived = CONSTRUCTIONS[args.op][1](g, args.m)
-    copy, base = np.divmod(np.arange(derived.n), g.n)
-    labels = list(zip(range(derived.n), copy.tolist(), base.tolist()))
+    n = derived.n
+    flat = np.arange(n)
+    cells = tuple(np.column_stack((flat, *np.divmod(flat, g.n))).ravel().tolist())
+
+    def labels(template: str, sep: str) -> Iterable[str]:
+        # the whole label map as one %-format, rendered only when iterated
+        if n:
+            yield sep.join([template] * n) % cells
+
     graph_text = (to_graph6(derived) + "\n" if args.emit == "graph6"
                   else format_edge_list(derived))
     record = _record(
         "derive",
         {"source": args.input, "format": args.format, "op": args.op,
          "m": args.m, "emit": args.emit},
-        {"base_n": g.n, "n": derived.n, "edge_count": derived.num_edges,
+        {"base_n": g.n, "n": n, "edge_count": derived.num_edges,
          "graph": graph_text, "labels": []},
     )
     json_labels = None
-    if args.output == "json" and labels:
-        json_labels = ("[" + ",".join([_LABEL_JSON] * len(labels)) + "\n    ]"
-                       ) % tuple(chain.from_iterable(labels))
-    _emit(args.output, record, "flat,copy,base", labels,
-          chain([graph_text, "flat  copy  base"],
-                (f"{flat:<4d}  {copy:<4d}  {base}" for flat, copy, base in labels)),
+    if args.output == "json" and n:
+        json_labels = "[" + next(labels(_LABEL_JSON, ",")) + "\n    ]"
+    _emit(args.output, record, chain(["flat,copy,base"], labels("%d,%d,%d", "\n")),
+          chain([graph_text, "flat  copy  base"], labels("%-4d  %-4d  %d", "\n")),
           json_labels)
     return EXIT_OK
 
@@ -231,9 +239,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     record = _record("verify", inputs, {"passed": all_passed,
                                         "report_count": len(reports), "reports": rows})
     width = max(len(r.graph_descriptor) for r in reports)
-    _emit(args.output, record, "claim_id,graph,m,max_abs_deviation,tolerance,passed",
-          ((row["claim_id"], row["graph"], row["m"], row["max_abs_deviation"],
-            row["tolerance"], row["passed"]) for row in rows),
+    _emit(args.output, record,
+          _csv("claim_id,graph,m,max_abs_deviation,tolerance,passed",
+               ((row["claim_id"], row["graph"], row["m"], row["max_abs_deviation"],
+                 row["tolerance"], row["passed"]) for row in rows)),
           chain([f"{'claim':<24}  {'graph':<{width}}  m  {'max_dev':>12}  "
                  f"{'tol':>9}  status"],
                 (f"{r.claim_id:<24}  {r.graph_descriptor:<{width}}  {r.m}  "

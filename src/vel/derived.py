@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, edge_keys
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,26 @@ def shadow_pattern(m: int) -> BlockPattern:
 
 def _blow_up(g: Graph, pattern: BlockPattern) -> Graph:
     """Adjacency B (x) A: base edge {i, j} joins (r, i) to (s, j) for each
-    block (r, s) of the pattern; an edgeless base never lists the blocks."""
+    block (r, s) of the pattern; an edgeless base never lists the blocks.
+
+    Built from edge keys over the n = copies * g.n derived vertices: the
+    pair (r*g.n + i, s*g.n + j) with r <= s has key (r*n + s)*g.n + i*n + j,
+    so each block on or above B's diagonal adds one offset to the base keys
+    i*n + j and, off the diagonal, to j*n + i too, which stands for block
+    (s, r) of the symmetric B.
+    """
     n = pattern.copies * g.n
     if not g.num_edges:
         return Graph(n)
-    offsets = g.n * np.array(list(pattern.blocks()), dtype=np.int64).reshape(-1, 1, 2)
-    return Graph(n, (offsets + g.edges).reshape(-1, 2))
+    r, s = np.array([b for b in pattern.blocks() if b[0] <= b[1]], dtype=np.int64).T
+    offsets = edge_keys(n, r, s) * g.n
+    i, j = g.edges.T
+    u, w = edge_keys(n, i, j), edge_keys(n, j, i)
+    split = r < s
+    keys = np.empty((r.size + np.count_nonzero(split), u.size), dtype=u.dtype)
+    np.add(offsets[:, None], u, out=keys[:r.size])
+    np.add(offsets[split, None], w, out=keys[r.size:])
+    return Graph.from_keys(n, keys.ravel())
 
 
 def m_splitting(g: Graph, m: int) -> Graph:

@@ -32,6 +32,8 @@ class Graph:
     read-only int64 copy: orientations normalized to (i, j) with i < j,
     duplicates collapsed, rows sorted.  It rejects self-loops and
     out-of-range endpoints, naming the first bad pair in input order.
+    Graph.from_keys takes the pairs' edge keys instead; both canonicalise
+    through the same sort, deduplication and decode of the keys.
     """
 
     n: int
@@ -41,7 +43,7 @@ class Graph:
         n = self.n
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        pairs = np.array(self.edges, dtype=np.int64)
+        pairs = np.asarray(self.edges, dtype=np.int64)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edges must be an (E, 2) array of pairs, got shape {pairs.shape}")
         pairs = pairs.reshape(-1, 2)
@@ -52,12 +54,22 @@ class Graph:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        # keys lo*n + hi sort as (lo, hi); Python ints where n*n overflows int64
-        keys = np.sort(lo.astype(np.int64 if n < 2**31 else object) * n + hi)
-        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-        canonical = np.column_stack((keys // n, keys % n)).astype(np.int64, copy=False)
-        canonical.flags.writeable = False
-        object.__setattr__(self, "edges", canonical)
+        object.__setattr__(self, "edges", _edges_from_keys(n, edge_keys(n, lo, hi)))
+
+    @classmethod
+    def from_keys(cls, n: int, keys) -> Graph:
+        """Graph from the edge keys lo*n + hi of pairs 0 <= lo < hi < n, in
+        any order and possibly repeated.  An array of the key dtype is sorted
+        in place.  Keys of no such pair raise ValueError."""
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        edges = _edges_from_keys(n, np.asarray(keys, dtype=_key_dtype(n)))
+        if not (edges[:, 0] < edges[:, 1]).all():
+            raise ValueError(f"edge keys must encode pairs 0 <= lo < hi < {n}")
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -70,6 +82,39 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+
+def _key_dtype(n: int):
+    # keys below n*n sort as their pairs; Python ints where n*n overflows int64
+    return np.int64 if n < 2**31 else object
+
+
+def edge_keys(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Edge keys lo*n + hi of the pairs (lo, hi) in one new array, which
+    sorts as the pairs do."""
+    keys = lo.astype(_key_dtype(n))
+    keys *= n
+    keys += hi
+    return keys
+
+
+def _edges_from_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """Sort keys in place, drop repeats and decode them into a read-only
+    (E, 2) int64 array of rows (key // n, key % n).  A key outside
+    [0, n*n), which no pair of vertices has, raises ValueError."""
+    keys.sort()
+    if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
+        raise ValueError(f"edge keys must encode pairs 0 <= lo < hi < {n}")
+    distinct = keys[1:] != keys[:-1]
+    if not distinct.all():
+        keys = np.concatenate((keys[:1], keys[1:][distinct]))
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    if keys.dtype == object:
+        edges[:, 0], edges[:, 1] = keys // n, keys % n
+    else:
+        np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    edges.flags.writeable = False
+    return edges
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -121,7 +166,7 @@ def parse_graph6(text: str) -> Graph:
     k = np.flatnonzero(bits[:, 2:].ravel()[:nbits])
     starts = np.arange(n, dtype=np.int64) * np.arange(-1, n - 1) // 2
     j = np.searchsorted(starts, k, side="right") - 1
-    return Graph(n, np.column_stack((k - starts[j], j)))
+    return Graph.from_keys(n, edge_keys(n, k - starts[j], j))
 
 
 def _decode_graph6_size(data: bytes) -> tuple[int, bytes]:

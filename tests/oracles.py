@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from vel.graphs import Graph
+
 
 def matrix_abs_diagonal(spectrum):
     """Diagonal of |A| = sum_i |lambda_i| u_i u_i^T via full matrix assembly.
@@ -44,3 +46,14 @@ def reference_to_graph6(g):
     chunks = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
     np.bitwise_or.at(chunks, k // 6, (32 >> k % 6).astype(np.uint8))
     return (bytes(head) + (chunks + 63).tobytes()).decode("ascii")
+
+
+def reference_blow_up(g, pattern):
+    """B (x) A by broadcasting every block's offsets over the (E, 2) pairs and
+    canonicalising them in Graph: the construction that derived._blow_up's
+    edge-key version must match edge for edge."""
+    n = pattern.copies * g.n
+    if not g.num_edges:
+        return Graph(n)
+    offsets = g.n * np.array(list(pattern.blocks()), dtype=np.int64).reshape(-1, 1, 2)
+    return Graph(n, (offsets + g.edges).reshape(-1, 2))

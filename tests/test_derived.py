@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_blow_up
 
 from vel.derived import (
     m_shadow,
@@ -159,6 +160,34 @@ def test_blow_up_is_linear_in_m():
     m = 10**5
     assert m_splitting(K2, m).num_edges == 2 * m + 1
     assert m_shadow(Graph(2), m) == Graph(2 * m)
+
+
+@st.composite
+def _bases(draw):
+    """G(n, p) on 0-30 vertices at any density, edgeless to complete."""
+    n, p = draw(st.integers(0, 30)), draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=150)
+@given(_bases(), st.integers(1, 9))
+def test_blow_ups_match_the_pair_broadcast_reference(g, m):
+    # sparse bases have isolated vertices; the m = 1 shadow is the one
+    # pattern without an off-diagonal block
+    assert m_splitting(g, m) == reference_blow_up(g, splitting_pattern(m))
+    assert m_shadow(g, m) == reference_blow_up(g, shadow_pattern(m))
+
+
+@pytest.mark.parametrize("build, make, m", [
+    (m_splitting, splitting_pattern, 1), (m_shadow, shadow_pattern, 2)])
+def test_blow_up_keys_beyond_int64_stay_exact(build, make, m):
+    # the derived count N >= 2**31 makes N*N overflow int64, so the keys are
+    # Python ints; int64 keys would raise or silently wrap here
+    g = Graph(2**31, [(0, 2**31 - 1), (5, 7)])
+    derived = build(g, m)
+    assert derived == reference_blow_up(g, make(m))
+    assert derived.num_edges == make(m).block_count * 2
 
 
 def test_splitting_c4_counts():

@@ -110,6 +110,44 @@ def test_edges_are_a_read_only_copy():
         g.edges[0, 0] = 2
 
 
+@pytest.mark.parametrize("n", [5, 2**40])
+def test_from_keys_sorts_and_collapses_duplicates(n):
+    keys = [3 * n + 4, 0 * n + 1, 1 * n + 2, 0 * n + 1, 3 * n + 4]
+    g = Graph.from_keys(n, keys)
+    assert g == Graph(n, [(0, 1), (1, 2), (3, 4)])
+    assert g.edges.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        g.edges[0, 0] = 2
+
+
+def test_from_keys_decodes_an_int64_buffer_into_new_edges():
+    keys = np.array([1 * 4 + 3, 0 * 4 + 2, 1 * 4 + 2], dtype=np.int64)
+    g = Graph.from_keys(4, keys)
+    assert g.edges.tolist() == [[0, 2], [1, 2], [1, 3]]
+    assert not np.shares_memory(g.edges, keys)
+
+
+@pytest.mark.parametrize("n, keys", [
+    (4, [1, 4 * 2 + 2]),     # (2, 2): lo == hi
+    (4, [4 * 3 + 1]),        # (3, 1): lo > hi
+    (4, [-3]),               # negative
+    (4, [4 * 4 + 1]),        # lo beyond n
+    (1, [0]), (0, [0]),      # no pair fits
+    (2**40, [2**40 * 7 + 7, 1]), (2**40, [-1]),
+    (2**40, [2**200]),       # lo far beyond int64
+])
+def test_from_keys_rejects_keys_of_no_pair_lo_below_hi(n, keys):
+    with pytest.raises(ValueError, match="edge keys"):
+        Graph.from_keys(n, keys)
+
+
+def test_from_keys_empty_and_bad_vertex_count():
+    assert Graph.from_keys(3, []) == Graph(3)
+    assert Graph.from_keys(0, np.empty(0, dtype=np.int64)) == Graph(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_keys(-1, [])
+
+
 @pytest.mark.parametrize("pairs, message", [
     ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
     ([(0, 1), (9, 0), (2, 2)], r"edge \(0, 9\) out of range for n=3"),
