@@ -11,10 +11,9 @@ predictors apply it to base-graph quantities with no eigensolve.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +24,15 @@ from .graphs import Graph, edge_keys
 class BlockPattern:
     """A symmetric 0/1 block pattern B (copies x copies) in closed form.
 
-    blocks() lists its block_count set entries (r, s) lazily; spectrum (B's
-    eigenvalues) and abs_diagonal (diag|B| by copy) are (value, multiplicity)
-    runs, so a pattern costs O(1) at any m; energy is E(B) in its own closed
-    form, not summed from the runs.
+    upper() returns its set entries (r, s) with r <= s as two int64 index
+    arrays in row-major order; spectrum and abs_diagonal (B's eigenvalues,
+    diag|B| by copy) are (value, multiplicity) runs, so a pattern is O(1) at
+    any m and compares by value; block_count and energy E(B) are closed forms.
     """
 
     copies: int
     block_count: int
-    blocks: Callable[[], Iterator[tuple[int, int]]]
+    upper: Callable[[], tuple[np.ndarray, np.ndarray]] = field(compare=False)
     spectrum: tuple[tuple[float, int], ...]
     abs_diagonal: tuple[tuple[float, int], ...]
     energy: float
@@ -50,11 +49,9 @@ def splitting_pattern(m: int) -> BlockPattern:
     vertex i is adjacent to the neighbors of i only."""
     _check_m(m)
     root = math.sqrt(4.0 * m + 1.0)
-    spokes = range(1, m + 1)
     return BlockPattern(
         copies=m + 1, block_count=2 * m + 1,
-        blocks=lambda: itertools.chain([(0, 0)], ((0, c) for c in spokes),
-                                       ((c, 0) for c in spokes)),
+        upper=lambda: (np.zeros(m + 1, dtype=np.int64), np.arange(m + 1, dtype=np.int64)),
         spectrum=(((1.0 + root) / 2.0, 1), ((1.0 - root) / 2.0, 1), (0.0, m - 1)),
         abs_diagonal=(((2.0 * m + 1.0) / root, 1), (2.0 / root, m)),
         energy=root,
@@ -67,7 +64,7 @@ def shadow_pattern(m: int) -> BlockPattern:
     _check_m(m)
     return BlockPattern(
         copies=m, block_count=m * m,
-        blocks=lambda: ((r, s) for r in range(m) for s in range(m)),
+        upper=lambda: np.triu_indices(m),
         spectrum=((float(m), 1), (0.0, m - 1)),
         abs_diagonal=((1.0, m),),
         energy=float(m),
@@ -87,7 +84,7 @@ def _blow_up(g: Graph, pattern: BlockPattern) -> Graph:
     n = pattern.copies * g.n
     if not g.num_edges:
         return Graph(n)
-    r, s = np.array([b for b in pattern.blocks() if b[0] <= b[1]], dtype=np.int64).T
+    r, s = pattern.upper()
     offsets = edge_keys(n, r, s) * g.n
     i, j = g.edges.T
     u, w = edge_keys(n, i, j), edge_keys(n, j, i)

@@ -30,8 +30,8 @@ class Graph:
 
     The constructor takes any (E, 2) array-like of integer pairs and makes a
     read-only int64 copy: orientations normalized to (i, j) with i < j,
-    duplicates collapsed, rows sorted.  It rejects self-loops and
-    out-of-range endpoints, naming the first bad pair in input order.
+    duplicates collapsed, rows sorted.  It rejects non-integer endpoints,
+    self-loops and out-of-range endpoints, naming the first bad pair.
     Graph.from_keys takes the pairs' edge keys instead; both canonicalise
     through the same sort, deduplication and decode of the keys.
     """
@@ -43,17 +43,23 @@ class Graph:
         n = self.n
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        pairs = np.asarray(self.edges, dtype=np.int64)
+        pairs = np.asarray(self.edges)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edges must be an (E, 2) array of pairs, got shape {pairs.shape}")
         pairs = pairs.reshape(-1, 2)
+        if pairs.dtype.kind not in "iu":  # re-read as given: ints stay exact beyond int64
+            pairs = np.array(self.edges, dtype=object).reshape(-1, 2)
+            for i, j in pairs:
+                if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+                    raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
         lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        bad = (lo == hi) | (lo < 0) | (hi >= min(n, 2**63))  # edges are int64
         if bad.any():
             i, j = int(lo[bad.argmax()]), int(hi[bad.argmax()])
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         object.__setattr__(self, "edges", _edges_from_keys(n, edge_keys(n, lo, hi)))
 
     @classmethod

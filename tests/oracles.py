@@ -48,6 +48,15 @@ def reference_to_graph6(g):
     return (bytes(head) + (chunks + 63).tobytes()).decode("ascii")
 
 
+def block_matrix(pattern):
+    """B as a dense 0/1 int64 matrix, set from the pattern's upper() index
+    arrays and their mirror: b[r, s] = b[s, r] = 1."""
+    r, s = pattern.upper()
+    b = np.zeros((pattern.copies, pattern.copies), dtype=np.int64)
+    b[r, s] = b[s, r] = 1
+    return b
+
+
 def reference_blow_up(g, pattern):
     """B (x) A by broadcasting every block's offsets over the (E, 2) pairs and
     canonicalising them in Graph: the construction that derived._blow_up's
@@ -55,5 +64,5 @@ def reference_blow_up(g, pattern):
     n = pattern.copies * g.n
     if not g.num_edges:
         return Graph(n)
-    offsets = g.n * np.array(list(pattern.blocks()), dtype=np.int64).reshape(-1, 1, 2)
+    offsets = g.n * np.argwhere(block_matrix(pattern)).reshape(-1, 1, 2)
     return Graph(n, (offsets + g.edges).reshape(-1, 2))

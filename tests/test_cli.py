@@ -412,9 +412,11 @@ def test_verify_corpus_seed_reaches_corpus(capsys):
     assert emitted != rows(run_suite(default_corpus(42), (1,)))
 
 
-def test_closed_stdout_exits_two_without_traceback():
+def test_closed_stdout_exits_two_without_traceback(k2_file):
+    # about 9 MB of JSON and no eigensolve
     proc = subprocess.Popen(
-        [sys.executable, "-m", "vel.cli", "verify", "--corpus=default", "--output=json"],
+        [sys.executable, "-m", "vel.cli", "derive", k2_file, "--op=splitting", "--m=50000",
+         "--output=json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
     assert proc.stdout.readline() == b"{\n"

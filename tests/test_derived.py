@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_blow_up
+from oracles import block_matrix, reference_blow_up
 
 from vel.derived import (
+    BlockPattern,
+    _blow_up,
     m_shadow,
     m_splitting,
     predicted_spectrum,
@@ -23,6 +25,7 @@ from vel.graphs import (
     path_graph,
     star_graph,
 )
+from vel.spectral import graph_spectrum, vertex_energies
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -115,17 +118,15 @@ def test_factor_identities_fixed_m(m):
 @pytest.mark.parametrize("make", [splitting_pattern, shadow_pattern])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 17, 40])
 def test_pattern_closed_forms_match_a_solve_of_b(make, m):
-    # B alone, assembled from its blocks and solved by numpy: the closed
-    # forms are checked without any blow-up
+    # B alone, assembled from its upper blocks and solved by numpy: the
+    # closed forms are checked without any blow-up
     pattern = make(m)
-    blocks = list(pattern.blocks())
-    assert pattern.block_count == len(blocks) == len(set(blocks))
-    rows, cols = np.array(blocks).T
-    size = 1 + max(rows.max(), cols.max())
-    b = np.zeros((size, size))
-    b[rows, cols] = 1.0
-    assert pattern.copies == b.shape[0]
-    np.testing.assert_array_equal(b, b.T)
+    r, s = pattern.upper()
+    assert r.dtype == s.dtype == np.int64
+    # on or above the diagonal, row-major, no block twice
+    assert (r <= s).all() and (np.diff(r * pattern.copies + s) > 0).all()
+    b = block_matrix(pattern)
+    assert pattern.block_count == np.count_nonzero(b)
     beta, u = np.linalg.eigh(b)
     tol = 1e-12 * max(1.0, m)
     np.testing.assert_allclose(np.sort(expand(pattern.spectrum)), beta, rtol=0, atol=tol)
@@ -133,6 +134,12 @@ def test_pattern_closed_forms_match_a_solve_of_b(make, m):
                                np.diag(u @ np.diag(np.abs(beta)) @ u.T), rtol=0, atol=tol)
     energy = float(np.sum(np.abs(beta)))
     assert abs(pattern.energy - energy) <= 1e-12 * max(1.0, energy)
+
+
+@pytest.mark.parametrize("make", [splitting_pattern, shadow_pattern])
+def test_patterns_of_one_m_compare_and_hash_equal(make):
+    assert make(2) == make(2) and hash(make(2)) == hash(make(2))
+    assert make(2) != make(3)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +170,9 @@ def test_blow_up_is_linear_in_m():
 
 
 @st.composite
-def _bases(draw):
-    """G(n, p) on 0-30 vertices at any density, edgeless to complete."""
-    n, p = draw(st.integers(0, 30)), draw(st.floats(0.0, 1.0))
+def _bases(draw, max_n=30):
+    """G(n, p) on 0-max_n vertices at any density, edgeless to complete."""
+    n, p = draw(st.integers(0, max_n)), draw(st.floats(0.0, 1.0))
     rng = draw(st.randoms(use_true_random=False))
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
@@ -177,6 +184,44 @@ def test_blow_ups_match_the_pair_broadcast_reference(g, m):
     # pattern without an off-diagonal block
     assert m_splitting(g, m) == reference_blow_up(g, splitting_pattern(m))
     assert m_shadow(g, m) == reference_blow_up(g, shadow_pattern(m))
+
+
+@st.composite
+def _symmetric_blocks(draw):
+    """A symmetric 0/1 B on 1-6 copies, diagonal entries allowed."""
+    k = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    upper = np.triu(np.array(bits, dtype=np.int64).reshape(k, k))
+    return upper | upper.T
+
+
+def _pattern_of(b):
+    """The BlockPattern of any symmetric 0/1 B, its runs from a solve of B."""
+    beta, u = np.linalg.eigh(b)
+    abs_diagonal = np.diag(u @ np.diag(np.abs(beta)) @ u.T)
+    upper = np.nonzero(np.triu(b))
+    return BlockPattern(
+        copies=len(b), block_count=np.count_nonzero(b), upper=lambda: upper,
+        spectrum=tuple((float(v), 1) for v in beta),
+        abs_diagonal=tuple((float(v), 1) for v in abs_diagonal),
+        energy=float(np.sum(np.abs(beta))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_blocks(), _bases(max_n=10))
+def test_blow_up_is_the_kronecker_product_for_any_symmetric_b(b, g):
+    # the law |B (x) A| = |B| (x) |A| beyond the arrow and J_m: adjacency and
+    # vertex energies of the blow-up, by a solve of the derived graph
+    pattern = _pattern_of(b)
+    derived = _blow_up(g, pattern)
+    a = adjacency_matrix(g)
+    np.testing.assert_array_equal(adjacency_matrix(derived), np.kron(b, a))
+    base = vertex_energies(graph_spectrum(g))
+    expected = np.kron([v for v, _ in pattern.abs_diagonal], base)
+    np.testing.assert_allclose(vertex_energies(graph_spectrum(derived)), expected,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(predicted_vertex_energies(pattern, base), expected,
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("build, make, m", [

@@ -153,10 +153,34 @@ def test_from_keys_empty_and_bad_vertex_count():
     ([(0, 1), (9, 0), (2, 2)], r"edge \(0, 9\) out of range for n=3"),
     ([(-1, 2), (1, 1)], r"edge \(-1, 2\) out of range for n=3"),
     ([(1, 1), (-1, 2)], "self-loop at vertex 1"),
+    # endpoints beyond int64
+    ([(0, 2**63)], r"edge \(0, 9223372036854775808\) out of range for n=3"),
+    ([(0, 1), (-2**63 - 1, 2)], r"edge \(-9223372036854775809, 2\) out of range for n=3"),
+    ([(2, 2), (0, 2**200)], "self-loop at vertex 2"),
+    (np.array([[0, 2**63]], dtype=np.uint64), r"edge \(0, 9223372036854775808\) out of range for n=3"),
+    # endpoints that are no integers, which a cast would truncate or parse
+    ([(0, 1), (0, 1.5)], r"edge \(0, 1\.5\) has a non-integer endpoint"),
+    ([(0, 1.0)], r"edge \(0, 1\.0\) has a non-integer endpoint"),
+    ([("0", "1")], r"edge \('0', '1'\) has a non-integer endpoint"),
+    (np.array([[0.0, 2.0]]), r"edge \(0\.0, 2\.0\) has a non-integer endpoint"),
 ])
 def test_first_bad_pair_in_input_order_is_named(pairs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Graph(3, pairs)
+
+
+def test_an_endpoint_beyond_int64_is_out_of_range_at_any_n():
+    # edges are int64, so no n admits the endpoint 2**63
+    with pytest.raises(ValueError, match=rf"^edge \(0, {2**63}\) out of range for n={2**64}$"):
+        Graph(2**64, [(0, 2**63)])
+
+
+@pytest.mark.parametrize("pairs", [
+    np.array([[2, 1], [0, 2]], dtype=np.uint8), np.array([[2, 1], [0, 2]], dtype=np.uint64),
+    np.array([[np.int16(2), 1], [0, np.uint64(2)]], dtype=object)])
+def test_endpoints_of_any_integer_type_are_taken_exactly(pairs):
+    g = Graph(3, pairs)
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2], [1, 2]]
 
 
 @pytest.mark.parametrize("edges", [
