@@ -3,10 +3,12 @@
 The per-vertex energy of vertex k is sum_i |lambda_i| u_{ik}^2 over the
 adjacency eigendecomposition; it partitions the total energy
 sum_i |lambda_i| across vertices.  This package computes those quantities
-with a cyclic Jacobi eigensolver, builds the m-splitting and m-shadow as
-blow-ups B (x) A of the base adjacency, and certifies numerically the one
-law both follow: vertex (r, i) has energy |B|_rr * E_A(i), the spectrum is
-{beta * lambda} and the total energy is E(B) * E(A).
+with a round-robin Jacobi eigensolver (each sweep is rounds of disjoint
+rotations, each round one whole-array update), builds the m-splitting and
+m-shadow as blow-ups B (x) A of the base adjacency, and certifies
+numerically the one law both follow: vertex (r, i) has energy
+|B|_rr * E_A(i), the spectrum is {beta * lambda} and the total energy is
+E(B) * E(A).
 """
 
 from .derived import (

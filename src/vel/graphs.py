@@ -329,7 +329,8 @@ def gnp_random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < p)
-    return Graph(n, edges)
+    # one draw per pair in row order, as rng.random() per pair would take them
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < p
+    return Graph.from_keys(n, edge_keys(n, i[keep], j[keep]))
 

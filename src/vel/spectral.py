@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and vertex-energy quantities.
+"""Dense symmetric eigensolver (round-robin Jacobi) and vertex-energy quantities.
 
 The energy of vertex k is sum_i |lambda_i| * u_{ik}^2 over the
 eigendecomposition A = U diag(lambda) U^T, i.e. the k-th diagonal entry of
@@ -16,7 +16,8 @@ from .graphs import Graph, adjacency_matrix
 
 EIG_TOL = 1e-12
 MAX_SWEEPS = 100
-# largest dense dimension solved: about five n x n float64 arrays, ~640 MiB
+# largest dense dimension solved: about 7.5 n x n float64 arrays at the
+# peak, ~960 MiB
 MAX_DIM = 4096
 
 
@@ -42,12 +43,15 @@ class Spectrum:
 def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real symmetric matrix.
 
-    Cyclic Jacobi: sweep every off-diagonal pair (p, q) with a Givens
-    rotation annihilating a[p, q], until the off-diagonal Frobenius norm
-    falls below EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  It sweeps
-    a divided by the power of two that brings max|a_ij| into [1, 2), so the
-    norms cannot overflow, and scales the eigenvalues back exactly; a 0/1
-    matrix is divided by 1.  Eigenvectors are the accumulated rotations, so
+    Round-robin Jacobi (Brent & Luk 1985): each sweep visits every
+    off-diagonal pair (p, q) once, as n - 1 rounds of n // 2 disjoint pairs
+    (n rounds with one idle slot when n is odd), and each round applies one
+    Givens rotation per pair, annihilating every a[p, q] of the round at
+    once.  Sweeps repeat until the off-diagonal Frobenius norm falls below
+    EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  It sweeps a divided by
+    the power of two that brings max|a_ij| into [1, 2), so the norms cannot
+    overflow, and scales the eigenvalues back exactly; a 0/1 matrix is
+    divided by 1.  Eigenvectors are the accumulated rotations, so
     orthonormality is structural.
 
     Raises ValueError for non-square, empty, non-finite or non-symmetric
@@ -69,18 +73,20 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     # a power of two with max|a| / scale in [1, 2): exact to divide and undo
     scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
     work = a / scale
-    vecs = np.eye(n)
+    spare = np.empty_like(work)  # takes work's transposed copies
+    vt = np.eye(n)  # row i is eigenvector i
     target = EIG_TOL * np.linalg.norm(work)
     # If every |a_pq| <= target/n^2 then the off-diagonal norm is already
     # below target/n, so skipping such pivots cannot stall convergence.
     skip = target / (n * n)
 
+    rounds = _round_robin(n)
     sweeps = 0
     while _off_diagonal_norm(work) > target:
         if sweeps == MAX_SWEEPS:
             raise JacobiConvergenceError(
                 f"no convergence after {MAX_SWEEPS} sweeps (dim={n})")
-        _jacobi_sweep(work, vecs, skip)
+        work, spare = _jacobi_sweep(work, spare, vt, skip, rounds)
         sweeps += 1
 
     with np.errstate(over="ignore"):
@@ -88,7 +94,7 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     if not np.isfinite(eigenvalues).all():
         raise ValueError("an eigenvalue is beyond the float64 range")
     order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], vecs[:, order])
+    return Spectrum(eigenvalues[order], vt[order].T)
 
 
 def graph_spectrum(g: Graph) -> Spectrum:
@@ -103,36 +109,69 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if abs(apq) <= skip:
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circle schedule of one sweep as two (rounds, n // 2) index arrays
+    p < q: every pair of 0..n-1 exactly once, the pairs of a round disjoint.
+
+    The last of n + n % 2 slots stays fixed while the others turn one step
+    per round; for odd n that slot is the idle one, and its pairs drop.
+    """
+    slots = n + n % 2
+    turn = np.arange(slots - 1)[:, None]
+    step = np.arange(1, slots // 2)
+    first = np.concatenate(
+        (np.full_like(turn, slots - 1), (turn + step) % (slots - 1)), axis=1)
+    second = np.concatenate((turn, (turn - step) % (slots - 1)), axis=1)
+    if n % 2:
+        first, second = first[:, 1:], second[:, 1:]
+    return np.minimum(first, second), np.maximum(first, second)
+
+
+def _jacobi_sweep(a: np.ndarray, spare: np.ndarray, vt: np.ndarray,
+                  skip: float, rounds: tuple[np.ndarray, np.ndarray],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep over the round-robin rounds.  Rotates the rows of vt in
+    place; a and the scratch array spare trade places once per round, and
+    the pair comes back as (rotated a, spare)."""
+    for p, q in zip(*rounds):
+        apq = a[p, q]
+        pivot = np.abs(apq) > skip
+        if not pivot.all():
+            p, q, apq = p[pivot], q[pivot], apq[pivot]
+            if not p.size:
                 continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            if abs(theta) > 1e153:
-                t = 0.5 / theta  # limit of the closed form, avoids theta**2 overflow
-            else:
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            rp = a[p, :].copy()
-            rq = a[q, :].copy()
-            a[p, :] = c * rp - s * rq
-            a[q, :] = s * rp + c * rq
-            cp = a[:, p].copy()
-            cq = a[:, q].copy()
-            a[:, p] = c * cp - s * cq
-            a[:, q] = s * cp + c * cq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
+        # The scaling and the rotations keep 1 <= ||a||_F < 2n, so
+        # |a_qq - a_pp| < 4n and |a_pq| > skip >= 1e-12 / n^2: then
+        # |theta| < 2 n^3 1e12, and theta * theta cannot overflow.
+        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+        t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        t = np.where(theta < 0.0, -t, t)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        c, s = c[:, None], (t * c)[:, None]
+        _rotate_rows(a, p, q, c, s)
+        # a is symmetric, so J^T a J = J^T (J^T a)^T: the column update is
+        # a second row update, on a transposed copy.  It goes into spare,
+        # not a new array: a fresh n x n array per round cost a one-solve
+        # process about 1e6 minor page faults at n = 256.
+        np.copyto(spare, a.T)
+        a, spare = spare, a
+        _rotate_rows(a, p, q, c, s)
+        a[p, q] = a[q, p] = 0.0
+        _rotate_rows(vt, p, q, c, s)
+    return a, spare
+
+
+def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray,
+                 c: np.ndarray, s: np.ndarray) -> None:
+    """Rows (x_p, x_q) become (c x_p - s x_q, s x_p + c x_q) for every pair
+    of the disjoint index arrays p, q."""
+    xp, xq = x[p], x[q]
+    new_p = xp * c
+    new_p -= s * xq
+    x[p] = new_p
+    xq *= c
+    xq += s * xp
+    x[q] = xq
 
 
 def vertex_energies(spectrum: Spectrum) -> np.ndarray:

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_format_edge_list, reference_to_graph6
+from oracles import (
+    reference_format_edge_list,
+    reference_gnp_random_graph,
+    reference_to_graph6,
+)
 
 from vel import graphs
 from vel.graphs import (
@@ -367,11 +371,8 @@ def test_parse_edge_list_errors(text, fragment):
 # encoders against their %-template and bitwise_or.at references
 # ---------------------------------------------------------------------------
 
-def _gnp_array(n, p, seed):
-    """G(n, p) drawn in one vectorised pass, for sizes the family loop is slow at."""
-    i, j = np.triu_indices(n, 1)
-    keep = np.random.default_rng(seed).random(i.size) < p
-    return Graph(n, np.column_stack((i[keep], j[keep])))
+def _gnp(n, p, seed):
+    return gnp_random_graph(n, p, np.random.default_rng(seed))
 
 
 def _size_id(g):
@@ -393,8 +394,8 @@ def test_format_edge_list_matches_reference(g):
 
 @pytest.mark.parametrize("g", [
     Graph(0), Graph(1), Graph(7), Graph(2, [(0, 1)]),
-    _gnp_array(62, 0.5, 62), _gnp_array(63, 0.5, 63), _gnp_array(200, 0.5, 200),
-    _gnp_array(2000, 0.01, 2000), complete_graph(63),
+    _gnp(62, 0.5, 62), _gnp(63, 0.5, 63), _gnp(200, 0.5, 200),
+    _gnp(2000, 0.01, 2000), complete_graph(63),
 ], ids=_size_id)
 def test_to_graph6_matches_reference(g):
     encoded = to_graph6(g)
@@ -459,3 +460,12 @@ def test_gnp_random_graph_deterministic():
     assert a == b
     assert gnp_random_graph(6, 0.0, np.random.default_rng(0)) == Graph(6)
     assert gnp_random_graph(6, 1.0, np.random.default_rng(0)) == complete_graph(6)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 40])
+def test_gnp_random_graph_matches_reference_loop(n, p):
+    for seed in (0, 1, 12345):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert gnp_random_graph(n, p, rng) == reference_gnp_random_graph(n, p, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

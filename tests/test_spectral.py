@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_abs_diagonal
+from oracles import matrix_abs_diagonal, reference_eigendecompose
 from vel.graphs import (
     Graph,
     adjacency_matrix,
@@ -18,6 +19,7 @@ from vel.graphs import (
 from vel.spectral import (
     JacobiConvergenceError,
     Spectrum,
+    _round_robin,
     eigendecompose_symmetric,
     graph_energy,
     graph_spectrum,
@@ -138,6 +140,49 @@ def test_solver_matches_numpy_on_random_symmetric(n, seed):
                                atol=1e-9 * (1.0 + np.max(np.abs(a))))
     np.testing.assert_allclose(s.eigenvectors @ np.diag(s.eigenvalues)
                                @ s.eigenvectors.T, a, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 66))
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
+    p, q = _round_robin(n)
+    assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
+    assert (p < q).all() and (q < n).all()
+    for round_p, round_q in zip(p, q):
+        assert np.unique(np.concatenate((round_p, round_q))).size == 2 * (n // 2)
+    pairs = set(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert p.size == len(pairs) == n * (n - 1) // 2
+
+
+def _assert_matches_scalar_sweeps(a):
+    """The round-robin solve of a agrees with the scalar cyclic-by-row one
+    on eigenvalues and vertex energies within 1e-12 max(1, rho), and raises
+    no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = eigendecompose_symmetric(a)
+    ref = reference_eigendecompose(a)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(ref.eigenvalues))))
+    np.testing.assert_allclose(ours.eigenvalues, ref.eigenvalues, rtol=0, atol=tol)
+    np.testing.assert_allclose(vertex_energies(ours), vertex_energies(ref),
+                               rtol=0, atol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_round_robin_matches_scalar_sweeps_on_graphs(n, p, seed):
+    _assert_matches_scalar_sweeps(
+        adjacency_matrix(gnp_random_graph(n, p, np.random.default_rng(seed))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=10**6))
+def test_round_robin_matches_scalar_sweeps_on_wide_range_entries(n, seed):
+    # magnitudes log-uniform over [1e-150, 1e150], random signs
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice((-1.0, 1.0), size=(n, n))
+                    * 10.0 ** rng.uniform(-150.0, 150.0, size=(n, n)))
+    _assert_matches_scalar_sweeps(upper + np.triu(upper, 1).T)
 
 
 def test_spectrum_shape_validation():
