@@ -87,15 +87,6 @@ def _check_dim(dim: int, what: str) -> None:
         raise InputError(f"{what} has dimension {dim}, above the dense limit {MAX_DIM}")
 
 
-def _record(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
 def _csv(header: str, rows: Iterable[Iterable]) -> Iterable[str]:
     """CSV lines: header, then rows with floats printed to 15 digits, so the
     record's rounded floats give the same values in JSON and CSV."""
@@ -104,22 +95,25 @@ def _csv(header: str, rows: Iterable[Iterable]) -> Iterable[str]:
         yield ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row)
 
 
-def _emit(output: str, record: dict, csv_lines: Iterable[str],
+def _emit(args: argparse.Namespace, inputs: dict, results: dict, csv_lines: Iterable[str],
           text_lines: Iterable[str], json_tail: str | None = None) -> None:
-    """Print record as JSON, or csv_lines or text_lines joined into one string.
+    """Print the command's output in args.output: the schema-1.0 record of
+    inputs and results as JSON, or csv_lines or text_lines joined into one
+    string.  This is the one place a record is assembled.
 
     json_tail, if given, is the indent=2 JSON of the record's last value,
-    which the record itself holds as an empty list.
+    which results itself holds as an empty list.
     """
-    if output == "json":
-        text = json.dumps(record, indent=2)
+    if args.output == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                           "inputs": inputs, "results": results}, indent=2)
         if json_tail is not None:
             head, _, end = text.rpartition("[]")
             print(head, json_tail, end, sep="")  # no copy of the joined text
         else:
             print(text)
     else:
-        print("\n".join(csv_lines if output == "csv" else text_lines))
+        print("\n".join(csv_lines if args.output == "csv" else text_lines))
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +126,13 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     spectrum = graph_spectrum(g)
     energies = [_round15(v) for v in vertex_energies(spectrum)]
     total = _round15(graph_energy(spectrum))
-    record = _record(
-        "energy",
-        {"source": args.input, "format": args.format,
-         "eig_tol": _round15(EIG_TOL)},
-        {"n": g.n, "edge_count": g.num_edges,
-         "vertex_energies": energies, "total_energy": total},
-    )
-    _emit(args.output, record,
-          _csv("vertex,energy", [*enumerate(energies), ("total", total)]),
-          ["vertex  energy", *(f"{k:<6d}  {v:.15g}" for k, v in enumerate(energies)),
-           f"total   {total:.15g}"])
+    rows = [*enumerate(energies), ("total", total)]
+    _emit(args,
+          {"source": args.input, "format": args.format, "eig_tol": _round15(EIG_TOL)},
+          {"n": g.n, "edge_count": g.num_edges,
+           "vertex_energies": energies, "total_energy": total},
+          _csv("vertex,energy", rows),
+          ["vertex  energy", *(f"{k:<6}  {v:.15g}" for k, v in rows)])
     return EXIT_OK
 
 
@@ -184,17 +174,14 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
     graph_text = (to_graph6(derived) + "\n" if args.emit == "graph6"
                   else format_edge_list(derived))
-    record = _record(
-        "derive",
-        {"source": args.input, "format": args.format, "op": args.op,
-         "m": args.m, "emit": args.emit},
-        {"base_n": g.n, "n": n, "edge_count": derived.num_edges,
-         "graph": graph_text, "labels": []},
-    )
-    json_labels = None
-    if args.output == "json" and n:
-        json_labels = "[" + next(labels(_LABEL_JSON, ",")) + "\n    ]"
-    _emit(args.output, record, chain(["flat,copy,base"], labels("%d,%d,%d", "\n")),
+    json_labels = ("[" + next(labels(_LABEL_JSON, ",")) + "\n    ]"
+                   if args.output == "json" and n else None)
+    _emit(args,
+          {"source": args.input, "format": args.format, "op": args.op,
+           "m": args.m, "emit": args.emit},
+          {"base_n": g.n, "n": n, "edge_count": derived.num_edges,
+           "graph": graph_text, "labels": []},
+          chain(["flat,copy,base"], labels("%d,%d,%d", "\n")),
           chain([graph_text, "flat  copy  base"], labels("%-4d  %-4d  %d", "\n")),
           json_labels)
     return EXIT_OK
@@ -236,18 +223,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if r.per_vertex_deviations is not None:
             row["per_vertex_deviations"] = [_round15(d) for d in r.per_vertex_deviations]
         rows.append(row)
-    record = _record("verify", inputs, {"passed": all_passed,
-                                        "report_count": len(reports), "reports": rows})
-    width = max(len(r.graph_descriptor) for r in reports)
-    _emit(args.output, record,
+    # one column layout for the header and every report
+    line = ("{:<24}  {:<%d}  {:>%d}  {:>12}  {:>9}  {}"
+            % (max(len(r.graph_descriptor) for r in reports), len(str(args.m_max)))).format
+    _emit(args, inputs,
+          {"passed": all_passed, "report_count": len(reports), "reports": rows},
           _csv("claim_id,graph,m,max_abs_deviation,tolerance,passed",
-               ((row["claim_id"], row["graph"], row["m"], row["max_abs_deviation"],
-                 row["tolerance"], row["passed"]) for row in rows)),
-          chain([f"{'claim':<24}  {'graph':<{width}}  m  {'max_dev':>12}  "
-                 f"{'tol':>9}  status"],
-                (f"{r.claim_id:<24}  {r.graph_descriptor:<{width}}  {r.m}  "
-                 f"{r.max_abs_deviation:>12.3e}  {r.tolerance:>9.1e}  "
-                 f"{'PASS' if r.passed else 'FAIL'}" for r in reports),
+               (list(row.values())[:6] for row in rows)),
+          chain([line("claim", "graph", "m", "max_dev", "tol", "status")],
+                (line(r.claim_id, r.graph_descriptor, r.m, f"{r.max_abs_deviation:.3e}",
+                      f"{r.tolerance:.1e}", "PASS" if r.passed else "FAIL")
+                 for r in reports),
                 [f"{sum(r.passed for r in reports)}/{len(reports)} checks passed"]))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
@@ -256,6 +242,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _add_command(sub, name: str, func, summary: str, input_default: str | None,
+                 input_help: str | None = None) -> argparse.ArgumentParser:
+    """A subcommand with the options every command shares: the input graph,
+    its --format and the --output of the report."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("input", nargs="?", default=input_default, help=input_help)
+    parser.add_argument("--format", choices=("edgelist", "graph6"),
+                        default="edgelist", help="input encoding")
+    parser.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vel",
@@ -263,50 +262,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "derived graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    energy = sub.add_parser(
-        "energy", help="per-vertex energies and total energy of a graph")
-    energy.add_argument("input", nargs="?", default="-",
-                        help="input path, or '-' for stdin (default)")
-    energy.add_argument("--format", choices=("edgelist", "graph6"),
-                        default="edgelist", help="input encoding")
-    energy.add_argument("--output", choices=("text", "json", "csv"),
-                        default="text")
-    energy.set_defaults(func=_cmd_energy)
+    _add_command(sub, "energy", _cmd_energy,
+                 "per-vertex energies and total energy of a graph", "-",
+                 "input path, or '-' for stdin (default)")
 
-    derive = sub.add_parser(
-        "derive", help="construct the m-splitting or m-shadow graph")
-    derive.add_argument("input", nargs="?", default="-")
-    derive.add_argument("--format", choices=("edgelist", "graph6"),
-                        default="edgelist")
+    derive = _add_command(sub, "derive", _cmd_derive,
+                          "construct the m-splitting or m-shadow graph", "-")
     derive.add_argument("--op", choices=tuple(CONSTRUCTIONS), required=True)
     derive.add_argument("--m", type=int, default=1, help="number of copies")
     derive.add_argument("--emit", choices=("edgelist", "graph6"),
                         default="edgelist", help="output graph encoding")
-    derive.add_argument("--output", choices=("text", "json", "csv"),
-                        default="text")
-    derive.set_defaults(func=_cmd_derive)
 
-    verify = sub.add_parser(
-        "verify", help="certify the scaling laws numerically")
-    verify.add_argument("input", nargs="?", default=None,
-                        help="input path or '-'; mutually exclusive with --corpus")
+    verify = _add_command(sub, "verify", _cmd_verify,
+                          "certify the scaling laws numerically", None,
+                          "input path or '-'; mutually exclusive with --corpus")
     verify.add_argument("--corpus", choices=("default",), default=None,
                         help="verify the built-in graph corpus")
-    verify.add_argument("--format", choices=("edgelist", "graph6"),
-                        default="edgelist")
     verify.add_argument("--m-max", dest="m_max", type=int, default=4)
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--seed", type=int, default=42,
                         help="seed for the default corpus's random graphs")
-    verify.add_argument("--output", choices=("text", "json", "csv"),
-                        default="text")
-    verify.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -286,6 +286,15 @@ def test_verify_text_summary(k2_file, capsys):
     assert "7/7 checks passed" in out
 
 
+def test_verify_text_columns_align_at_two_digit_m(k2_file, capsys):
+    code, out, _ = run_cli(["verify", k2_file, "--m-max=10"], capsys)
+    assert code == 0
+    header, *rows, _ = out.splitlines()
+    status = header.index("status")
+    assert len(rows) == 1 + 6 * 10
+    assert all(row[status:] == "PASS" for row in rows)
+
+
 def test_verify_default_corpus_smoke(capsys):
     code, out, _ = run_cli(
         ["verify", "--corpus=default", "--m-max=1", "--output=csv"], capsys)
@@ -445,7 +454,7 @@ def test_eig_tol_env_is_ignored(value, monkeypatch, k2_file, capsys):
 # ---------------------------------------------------------------------------
 
 # case -> (argv without --output, stdin); tests/golden/<case>.<output> holds
-# the exact stdout.  The verify case is edgeless, so its deviations are 0.
+# the exact stdout.  The verify cases are edgeless, so their deviations are 0.
 GOLDEN_CASES = {
     "energy_p3": (["energy", "-"], P3_EDGELIST),
     "derive_splitting_p3_m2": (["derive", "-", "--op=splitting", "--m=2"], P3_EDGELIST),
@@ -453,6 +462,11 @@ GOLDEN_CASES = {
     # 12 vertices, so labels and edge ids have two digits
     "derive_shadow_p3_m4": (["derive", "-", "--op=shadow", "--m=4"], P3_EDGELIST),
     "verify_empty3_m2": (["verify", "-", "--m-max=2"], EMPTY3_EDGELIST),
+    # the 0-vertex graph: energy prints only its header and total, and derive
+    # prints no label row
+    "energy_n0": (["energy", "-"], "0 0\n"),
+    "derive_shadow_n0_m8": (["derive", "-", "--op=shadow", "--m=8"], "0 0\n"),
+    "verify_n0_m2": (["verify", "-", "--m-max=2"], "0 0\n"),
 }
 
 
