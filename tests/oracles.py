@@ -60,6 +60,71 @@ def block_matrix(pattern):
     return b
 
 
+def closed_walks_2(g):
+    """Closed walks of length 2 at every vertex of g, its degrees, read off
+    the edge array by np.bincount."""
+    return np.bincount(g.edges.ravel(), minlength=g.n)
+
+
+def closed_walks_3(g, vertices):
+    """Closed walks of length 3 at each of vertices, read off the edge array:
+    with x = A e_v, e_v^T A (A e_v) = x^T A x, twice the number of edges
+    between neighbours of v."""
+    i, j = g.edges.T
+    counts = np.zeros(len(vertices), dtype=np.int64)
+    for k, v in enumerate(vertices):
+        x = np.zeros(g.n, dtype=bool)
+        x[j[i == v]] = x[i[j == v]] = True
+        counts[k] = 2 * np.count_nonzero(x[i] & x[j])
+    return counts
+
+
+def maps_onto_itself(g, copies, perm):
+    """Whether moving every vertex (copy c, base i) = divmod(flat, g.n //
+    copies) of g to copy perm[c] maps g's edge rows onto themselves."""
+    base_n = g.n // copies
+    c, i = np.divmod(g.edges, base_n)
+    moved = np.sort(np.asarray(perm)[c] * base_n + i, axis=1)
+    return np.array_equal(moved[np.lexsort(moved.T[::-1])], g.edges)
+
+
+def check_blow_up_walks(derived, g, pattern, movable):
+    """Check derived = B (x) A through its edge array alone, with no solve.
+
+    A transposition and a cycle of the movable copies (those B cannot tell
+    apart) must map the edge rows onto themselves.  Since (B (x) A)^k =
+    B^k (x) A^k, vertex (r, i) must have (B^k)_rr (A^k)_ii closed walks of
+    length k: for k = 2 at every vertex, and for k = 3 at one copy per orbit
+    of those automorphisms.  B's rows are set from the pattern's upper()
+    index arrays and their mirror, as in block_matrix, and A from g's edges.
+    """
+    copies, movable = pattern.copies, list(movable)
+    if len(movable) > 1:
+        swap, cycle = np.arange(copies), np.arange(copies)
+        swap[movable[:2]] = movable[1::-1]
+        cycle[movable] = np.roll(movable, -1)
+        assert maps_onto_itself(derived, copies, swap), "a swap of copies moves an edge"
+        assert maps_onto_itself(derived, copies, cycle), "a cycle of copies moves an edge"
+    r, s = pattern.upper()
+    b2 = np.bincount(r, minlength=copies) + np.bincount(s[r < s], minlength=copies)
+    reps = np.setdiff1d(np.arange(copies), movable[1:])
+    b3 = np.zeros(reps.size, dtype=np.int64)
+    # (B^3)_rr = b_r^T B b_r over row b_r: an upper block (s, t) counts once
+    # on B's diagonal and twice, as (s, t) and (t, s), off it
+    for k, rep in enumerate(reps):
+        row = np.zeros(copies, dtype=np.int64)
+        row[s[r == rep]] = row[r[s == rep]] = 1
+        b3[k] = np.sum(row[r] * row[s] * np.where(r < s, 2, 1))
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    i, j = g.edges.T
+    a[i, j] = a[j, i] = 1
+    a2 = a @ a
+    np.testing.assert_array_equal(closed_walks_2(derived), np.kron(b2, np.diag(a2)))
+    flat = (reps[:, None] * g.n + np.arange(g.n)).ravel()
+    np.testing.assert_array_equal(closed_walks_3(derived, flat),
+                                  np.kron(b3, np.einsum("ij,ji->i", a2, a)))
+
+
 def reference_blow_up(g, pattern):
     """B (x) A by broadcasting every block's offsets over the (E, 2) pairs and
     canonicalising them in Graph: the construction that derived._blow_up's

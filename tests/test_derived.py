@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix, reference_blow_up
+from oracles import block_matrix, check_blow_up_walks, reference_blow_up
 
 from vel.derived import (
+    CONSTRUCTIONS,
     BlockPattern,
     _blow_up,
     m_shadow,
@@ -222,6 +223,29 @@ def test_blow_up_is_the_kronecker_product_for_any_symmetric_b(b, g):
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(predicted_vertex_energies(pattern, base), expected,
                                rtol=0, atol=1e-15)
+
+
+# the copies each construction's B cannot tell apart: the splitting's m
+# copies beside the originals, and every copy of the shadow
+MOVABLE_COPIES = {"splitting": lambda m: range(1, m + 1), "shadow": range}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bases(max_n=8), st.integers(1, 6))
+def test_blow_ups_have_the_walk_counts_and_copy_symmetries_of_b_kron_a(g, m):
+    for op, (make, build) in CONSTRUCTIONS.items():
+        check_blow_up_walks(build(g, m), g, make(m), MOVABLE_COPIES[op](m))
+
+
+@pytest.mark.parametrize("op, g, m", [
+    ("splitting", gnp_random_graph(12, 0.5, np.random.default_rng(12)), 50),
+    ("shadow", gnp_random_graph(12, 0.5, np.random.default_rng(12)), 50),
+    # the largest derives the CLI accepts from K2, as CI derives them
+    ("shadow", K2, 700), ("splitting", K2, 50_000)],
+    ids=["gnp12-splitting", "gnp12-shadow", "k2-shadow", "k2-splitting"])
+def test_large_blow_ups_have_the_walk_counts_of_b_kron_a(op, g, m):
+    make, build = CONSTRUCTIONS[op]
+    check_blow_up_walks(build(g, m), g, make(m), MOVABLE_COPIES[op](m))
 
 
 @pytest.mark.parametrize("build, make, m", [
