@@ -219,8 +219,38 @@ def to_graph6(g: Graph) -> str:
 # edge-list text
 # ---------------------------------------------------------------------------
 
+# byte class for parse_edge_list: 2 digit, 1 space/tab/newline, 0 any other
+_BYTE_CLASS = np.array([2 if 48 <= b < 58 else int(b in (9, 10, 32)) for b in range(256)], np.int8)
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the 'n m' header plus m edge-line format; '#' starts a comment."""
+    """Parse the 'n m' header plus m edge-line format; '#' starts a comment.
+
+    Text of ASCII digits, spaces, tabs and newlines alone, with two tokens of
+    at most 18 digits per non-blank line, m body lines and no self-loop or
+    out-of-range edge, is decoded in numpy.  Every other input, and every
+    error, goes through the per-line reader."""
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    kind = _BYTE_CLASS[data]
+    bounds = np.flatnonzero(np.diff(kind == 2, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]  # each digit run's first byte, last + 1
+    lengths = ends - starts
+    if not kind.all() or starts.size < 2 or starts.size % 2 or lengths.max() > 18:
+        return _read_edge_list(text)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for p in range(lengths.max()):  # digit p from each token's end; int64 holds 18
+        digit = data[ends - 1 - p] - 48
+        digit[lengths <= p] = 0
+        values += digit.astype(np.int64) * 10**p
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(data == 10), starts))
+    (n, m), i, j = values[:2].tolist(), values[2::2], values[3::2]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if (per_line[per_line > 0] != 2).any() or lo.size != m or (lo == hi).any() or (hi >= n).any():
+        return _read_edge_list(text)
+    return Graph.from_keys(n, edge_keys(n, lo, hi))
+
+
+def _read_edge_list(text: str) -> Graph:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

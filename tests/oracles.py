@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from vel.graphs import Graph
+from vel.graphs import Graph, GraphFormatError
 from vel.spectral import EIG_TOL, MAX_SWEEPS, Spectrum
 
 
@@ -30,6 +30,50 @@ def reference_format_edge_list(g):
     """Edge-list text by one %-template over the edge ints: the encoder that
     graphs.format_edge_list's digit-array version must match byte for byte."""
     return f"{g.n} {g.num_edges}\n" + "%d %d\n" * g.num_edges % tuple(g.edges.ravel().tolist())
+
+
+def reference_parse_edge_list(text):
+    """The per-line edge-list reader, verbatim: graphs.parse_edge_list must
+    give the same Graph, or raise GraphFormatError with the same message."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append((lineno, line.split()))
+    if not rows:
+        raise GraphFormatError("empty edge-list input: expected header line 'n m'")
+    head_no, head = rows[0]
+    if len(head) != 2:
+        raise GraphFormatError(f"line {head_no}: header must be 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphFormatError(f"line {head_no}: header must be two integers") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {head_no}: negative count in header")
+    if n >= 2**63:
+        raise GraphFormatError(
+            f"line {head_no}: vertex count {n} above the int64 limit 2**63 - 1")
+    body = rows[1:]
+    if len(body) != m:
+        raise GraphFormatError(
+            f"expected {m} edge lines after the header, found {len(body)}")
+    edges = []
+    for lineno, tokens in body:
+        if len(tokens) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'i j'")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: vertex indices must be integers") from None
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphFormatError(
+                f"line {lineno}: edge ({i}, {j}) out of range for n={n}")
+        edges.append((i, j))
+    return Graph(n, tuple(edges))
 
 
 def reference_to_graph6(g):

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vel
 from vel.cli import MAX_DERIVED, main
-from vel.graphs import parse_edge_list, parse_graph6
+from vel.graphs import format_edge_list, gnp_random_graph, parse_edge_list, parse_graph6
 from vel.verify import default_corpus, run_suite
 
 K2_EDGELIST = "2 1\n0 1\n"
@@ -108,6 +109,21 @@ def test_energy_parse_failure_names_line(tmp_path, capsys):
     code, _, err = run_cli(["energy", str(path)], capsys)
     assert code == 2
     assert "line 3" in err
+
+
+def test_energy_output_is_the_same_for_any_edge_list_layout(tmp_path, capsys):
+    # the plain text takes parse_edge_list's array path, the comment and the
+    # CRLF line ends the per-line reader
+    plain = format_edge_list(gnp_random_graph(12, 0.5, np.random.default_rng(12)))
+    outputs = []
+    for name, text in [("plain", plain), ("comment", "# G(12, 1/2)\n" + plain),
+                       ("crlf", plain.replace("\n", "\r\n"))]:
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.encode("ascii"))
+        code, out, err = run_cli(["energy", str(path)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_energy_graph6_failure_names_byte(monkeypatch, capsys):

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from oracles import (
     reference_format_edge_list,
     reference_gnp_random_graph,
+    reference_parse_edge_list,
     reference_to_graph6,
 )
 
 from vel import graphs
+from vel.derived import m_shadow
 from vel.graphs import (
     Graph,
     GraphFormatError,
@@ -365,6 +367,80 @@ def test_parse_edge_list_round_trip():
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_edge_list(text)
+
+
+# text inserted at random: blanks both parse_edge_list paths take, and what
+# only the per-line reader takes: a comment, signs, an underscore inside a
+# number, line ends and blanks that str.splitlines and str.split know, a
+# non-ASCII digit, and tokens too long for int64
+_HOSTILE_INSERTS = ["#", "-", "+", "_", "\r", "\r\n", "\x0b", "\x1f", "\t", "\n", "\n\n",
+                    "\u0663", " ", "1" * 19, "9" * 20]
+
+
+@st.composite
+def _hostile_edge_lists(draw):
+    """A valid edge list under random changes: lines dropped or added,
+    self-loops, out-of-range endpoints, hostile bytes inserted anywhere."""
+    n = draw(st.one_of(st.integers(0, 12), st.sampled_from(
+        [10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63])))
+    vertex = st.integers(0, max(min(n, 12) - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          max_size=10 if n > 1 else 0))
+    lines = [(n, len(pairs))] + pairs
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines)))
+        change = draw(st.sampled_from(["drop", "add", "self-loop", "out-of-range"]))
+        if change == "drop":
+            del lines[at:at + 1]
+        else:
+            v = draw(vertex)
+            lines[at:at + (change != "add")] = [
+                {"add": (v, draw(vertex)), "self-loop": (v, v), "out-of-range": (v, n)}[change]]
+    text = "".join(draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(map(str, line))
+                   + draw(st.sampled_from(["\n", "\n", "\n\n", " \n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_HOSTILE_INSERTS)) + text[at:]
+    return text
+
+
+def _parsed_or_message(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@settings(max_examples=500)
+@given(_hostile_edge_lists())
+def test_parse_edge_list_matches_the_per_line_reader(text):
+    # the same Graph, or a GraphFormatError with the same message
+    assert _parsed_or_message(parse_edge_list, text) == _parsed_or_message(
+        reference_parse_edge_list, text)
+
+
+def _tabbed_edge_list(g):
+    """g's edge list with tabs, double spaces and blank lines."""
+    seps = ["\t", "  ", " \t "]
+    rows = [f"{i}{seps[k % 3]}{j}\n" + "\n" * (k % 2) for k, (i, j) in enumerate(g.edges)]
+    return f"\n{g.n}  {g.num_edges}\n\n" + "".join(rows)
+
+
+_BENCH_GNP60 = gnp_random_graph(60, 0.5, np.random.default_rng([0, 60]))  # derive-m8's base
+
+
+@pytest.mark.parametrize("g,write", [
+    (Graph(0), format_edge_list), (Graph(1), format_edge_list), (Graph(7), format_edge_list),
+    (m_shadow(_BENCH_GNP60, 8), format_edge_list), (_BENCH_GNP60, _tabbed_edge_list),
+], ids=["n=0", "n=1", "edgeless-7", "gnp60-shadow-m8", "gnp60-tabbed"])
+def test_plain_edge_lists_take_the_array_path(g, write, monkeypatch):
+    def no_reader(text):
+        raise AssertionError("the per-line reader was called")
+
+    monkeypatch.setattr(graphs, "_read_edge_list", no_reader)
+    assert parse_edge_list(write(g)) == g
 
 
 # ---------------------------------------------------------------------------
