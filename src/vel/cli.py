@@ -6,7 +6,9 @@ or input error.  Floating-point values in JSON/CSV output carry 15
 significant digits.  verify's --tol lies in (0, 1e-4].  energy and verify
 refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
 (m-max + 1) * n, the splitting graph's, with n counted as at least 1, so
---m-max stays at most 4095 on the 0-vertex graph too.  derive's --m lies in
+--m-max stays at most 4095 on the 0-vertex graph too.  verify also refuses
+more than MAX_WORK = 2 * MAX_DIM**3 of solver work, the sum of its solves'
+cubed dimensions, before any solve.  derive's --m lies in
 [1, 2**63 - 1], and derive refuses a derived graph with more than
 MAX_DERIVED vertices, edges or graph6 data bytes, before building it.  A
 stdout closed by its reader ends the command with exit 2.
@@ -40,6 +42,8 @@ SCHEMA_VERSION = "1.0"
 MAX_TOL = 1e-4
 # derive's JSON output peaks at about 0.4 KB per vertex, so at most ~0.2 GB
 MAX_DERIVED = 500_000
+# verify's solver work: the sum of its solves' cubed dimensions
+MAX_WORK = 2 * MAX_DIM**3
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -211,6 +215,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
     _check_dim((args.m_max + 1) * max(1, *(graph.n for graph, _ in corpus)),
                "splitting graph")
+    # the base, splitting ((m+1)n) and shadow (mn) solves of an n-vertex graph
+    cubes = 1 + sum((m + 1)**3 + m**3 for m in range(1, args.m_max + 1))
+    work = cubes * sum(graph.n**3 for graph, _ in corpus)
+    if work > MAX_WORK:
+        raise InputError(f"verify's solves would total {work} cubed dimensions, "
+                         f"above the work budget {MAX_WORK}")
     reports = run_suite(corpus, range(1, args.m_max + 1), args.tol)
     inputs.update({"m_max": args.m_max, "tol": _round15(args.tol),
                    "eig_tol": _round15(EIG_TOL)})

@@ -1,17 +1,31 @@
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_format_edge_list
 
 import vel
-from vel.cli import MAX_DERIVED, main
-from vel.graphs import format_edge_list, gnp_random_graph, parse_edge_list, parse_graph6
+from vel.cli import MAX_DERIVED, MAX_WORK, main
+from vel.derived import CONSTRUCTIONS
+from vel.graphs import (
+    Graph,
+    format_edge_list,
+    gnp_random_graph,
+    parse_edge_list,
+    parse_graph6,
+    to_graph6,
+)
 from vel.verify import default_corpus, run_suite
 
 K2_EDGELIST = "2 1\n0 1\n"
@@ -131,6 +145,15 @@ def test_energy_graph6_failure_names_byte(monkeypatch, capsys):
     code, _, err = run_cli(["energy", "--format=graph6"], capsys)
     assert code == 2
     assert "byte 1" in err
+
+
+@pytest.mark.parametrize("stdin, count", [("A_\nA_\n", 2), ("\n \n", 0)],
+                         ids=["two-lines", "blank-only"])
+def test_energy_graph6_needs_exactly_one_line(stdin, count, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["energy", "--format=graph6"], capsys)
+    assert (code, out) == (2, "")
+    assert f"expected exactly one graph6 line, found {count}" in err
 
 
 def test_energy_missing_file(capsys):
@@ -280,6 +303,32 @@ def test_derive_rejects_sizes_above_limit(stdin, argv, size, monkeypatch, capsys
     assert f"would have {size}, above the limit {MAX_DERIVED}" in err
 
 
+# a 6-cycle with the chords {0, 3} and {1, 4}: vertices of degree 2 and 3
+C6_CHORDS_EDGELIST = "6 8\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n1 4\n"
+
+
+@pytest.mark.parametrize("stdin, op, m", [
+    # the largest derives of K2 within MAX_DERIVED: 100,001 and 490,000 edges
+    pytest.param(K2_EDGELIST, "splitting", 50_000, id="k2-splitting-50000"),
+    pytest.param(K2_EDGELIST, "shadow", 700, id="k2-shadow-700"),
+    pytest.param(C6_CHORDS_EDGELIST, "shadow", 8, id="c6-chords-shadow-8"),
+])
+def test_derive_reads_back_its_own_edge_list(stdin, op, m, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(["derive", f"--op={op}", f"--m={m}", "--output=json"], capsys)
+    assert (code, err) == (0, "")
+    graph = json.loads(out)["results"]["graph"]
+    # canonical rows, with the edges, and so the degrees, of the construction
+    assert graph == reference_format_edge_list(CONSTRUCTIONS[op][1](parse_edge_list(stdin), m))
+    # the 1-shadow of a graph is the graph itself
+    path = tmp_path / "derived.txt"
+    path.write_text(graph)
+    code, out, err = run_cli(["derive", str(path), "--op=shadow", "--m=1", "--output=json"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["graph"] == graph
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -341,6 +390,23 @@ def test_verify_zero_vertex_graph(fmt, text, monkeypatch, capsys):
     assert all(row["passed"] for row in results["reports"])
 
 
+def test_verify_default_corpus_fits_the_work_budget(monkeypatch, capsys):
+    # the benchmark's and CI's run, about 6.5e-5 of the budget, reaches its
+    # solves; test_acceptance certifies the corpus at these m
+    def solves(corpus, m_values, tol):
+        raise AssertionError(f"run_suite over m = {list(m_values)}")
+
+    monkeypatch.setattr("vel.cli.run_suite", solves)
+    with pytest.raises(AssertionError, match=r"run_suite over m = \[1, 2, 3, 4\]"):
+        main(["verify", "--corpus=default", "--m-max=4"])
+
+
+def test_verify_rejects_negative_m_max(k2_file, capsys):
+    code, out, err = run_cli(["verify", k2_file, "--m-max=-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--m-max must be >= 0, got -1" in err
+
+
 def test_verify_rejects_negative_seed(capsys):
     code, out, err = run_cli(["verify", "--corpus=default", "--seed=-1"], capsys)
     assert (code, out) == (2, "")
@@ -366,6 +432,23 @@ def test_rejects_dimension_above_limit(argv, stdin, dim, monkeypatch, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert str(dim) in err and "4096" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, stdin, work", [
+    # about 1,000 solves at MAX_DIM
+    (["verify", "-", "--m-max=2047"], K2_EDGELIST, 70368760954880),
+    # 2.1 * MAX_DIM**3, with the splitting graph at MAX_DIM
+    (["verify", "-", "--m-max=3"], "1024 0\n", 146028888064),
+], ids=["k2", "edgeless-1024"])
+def test_verify_rejects_work_above_budget(argv, stdin, work, monkeypatch, capsys):
+    def no_solve(g):
+        raise AssertionError("graph_spectrum was called")
+
+    monkeypatch.setattr("vel.verify.graph_spectrum", no_solve)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"would total {work} cubed dimensions, above the work budget {MAX_WORK}" in err
 
 
 def test_verify_exit_one_on_failure(k2_file, capsys):
@@ -448,6 +531,106 @@ def test_closed_stdout_exits_two_without_traceback(k2_file):
     proc.stdout.close()  # the output is far larger than the pipe's buffer
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (2, b"")
+
+
+# ---------------------------------------------------------------------------
+# the contract on any input
+# ---------------------------------------------------------------------------
+
+# edge-list tokens a small graph's list lacks: out of range, above the dense
+# limit, beyond int64, and what is no count at all
+_HOSTILE_TOKENS = ["0", "1", "8", "-1", "4097", str(2**63 - 1), str(2**63), "9" * 20,
+                   "+1", "1_0", "\u0663", "x", "#", ""]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else [])
+
+
+@st.composite
+def _edge_list_bytes(draw):
+    """A small graph's edge list with tokens replaced, lines dropped or
+    repeated, comments added, and blanks and line ends of every kind."""
+    g = draw(_small_graphs())
+    rows = [[str(g.n), str(g.num_edges)], *([str(i), str(j)] for i, j in g.edges.tolist())]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        picked = rows[at:at + 1]  # empty at the end
+        change = draw(st.sampled_from(["token", "drop", "repeat", "comment"]))
+        if change == "drop":
+            del rows[at:at + 1]
+        elif change == "repeat":
+            rows[at:at] = [list(row) for row in picked]
+        elif change == "comment":
+            for row in picked:
+                row.append("# note")
+        else:
+            for row in picked:
+                row[draw(st.integers(0, 1))] = draw(st.sampled_from(_HOSTILE_TOKENS))
+    return "".join(draw(st.sampled_from([" ", "\t", " \t"])).join(row)
+                   + draw(st.sampled_from(_LINE_ENDS)) for row in rows).encode()
+
+
+@st.composite
+def _graph6_bytes(draw):
+    """Random bytes, or a small graph's graph6 with characters inserted or
+    replaced, then any line end."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=12))
+    text = to_graph6(draw(_small_graphs()))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(["?", "~", "A", "\x7f", "\t", " ", "\n", "\u00e9"]))
+        text = text[:at] + char + text[at + draw(st.integers(0, 1)):]
+    return (text + draw(st.sampled_from(["", *_LINE_ENDS]))).encode()
+
+
+@st.composite
+def _argvs(draw):
+    """A command with each option omitted, valid or out of range."""
+    def option(name, *values):
+        value = draw(st.sampled_from([None, *values]))
+        return [] if value is None else [f"--{name}={value}"]
+
+    command = draw(st.sampled_from(["energy", "derive", "verify"]))
+    argv = [command, *draw(st.sampled_from([["-"], []])),
+            *option("format", "edgelist", "graph6"), *option("output", "text", "json", "csv")]
+    if command == "derive":
+        # no --op is a usage error, as is --m=x
+        argv += [*option("op", "splitting", "shadow"),
+                 *option("m", 1, 2, 3, 0, 2**63 - 1, 2**63, "x"),
+                 *option("emit", "edgelist", "graph6")]
+    elif command == "verify":
+        corpus = option("corpus", "default")
+        # the whole corpus is solved only at an explicit --m-max=0, which is fast
+        m_max = ([f"--m-max={draw(st.sampled_from([0, -1, 4096]))}"] if corpus
+                 else option("m-max", 0, 1, 2, 3, -1, 4096, 10**30))
+        # no law holds to 1e-300, so verify exits 1
+        argv += [*corpus, *m_max, *option("tol", "1e-8", "1e-4", "1e-300", "nan", "0"),
+                 *option("seed", 0, 42, -1)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs(), st.one_of(_edge_list_bytes(), _graph6_bytes()))
+def test_any_argv_and_stdin_end_in_a_result_or_a_message(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8")),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    if code == 2:
+        assert err.getvalue().strip() and out.getvalue() == ""
+    elif "--output=json" in argv:
+        json.loads(out.getvalue())
 
 
 # ---------------------------------------------------------------------------
