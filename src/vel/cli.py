@@ -5,18 +5,21 @@ Exit codes: 0 success; 1 only when verify finds a law that fails; 2 usage
 or input error.  Floating-point values in JSON/CSV output carry 15
 significant digits.  verify's --tol lies in (0, 1e-4].  energy and verify
 refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
-(m-max + 1) * n, the splitting graph's, with n counted as at least 1, so
---m-max stays at most 4095 on the 0-vertex graph too.  verify also refuses
+the largest solved graph's: n at m-max 0, else copies * n by BlockPattern
+at m-max, with n >= 1, so --m-max <= 4095 on any input.  verify also refuses
 more than MAX_WORK = 2 * MAX_DIM**3 of solver work, the sum of its solves'
 cubed dimensions, before any solve.  derive's --m lies in
 [1, 2**63 - 1], and derive refuses a derived graph with more than
 MAX_DERIVED vertices, edges or graph6 data bytes, before building it.  A
-stdout closed by its reader ends the command with exit 2.
+closed stdin, and a stdout that is closed or fails a write, end the command
+with exit 2; a reader that closed the pipe gets no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
@@ -64,6 +67,8 @@ def _read_source(path: str) -> str:
     the locale; an in-memory text stdin (no .buffer) is taken as it is."""
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
             with open(path, "rb") as handle:
@@ -213,10 +218,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs = {"source": args.input, "format": args.format}
     else:
         raise InputError("nothing to verify: give an input graph or --corpus=default")
-    _check_dim((args.m_max + 1) * max(1, *(graph.n for graph, _ in corpus)),
-               "splitting graph")
-    # the base, splitting ((m+1)n) and shadow (mn) solves of an n-vertex graph
-    cubes = 1 + sum((m + 1)**3 + m**3 for m in range(1, args.m_max + 1))
+    n = max(1, *(graph.n for graph, _ in corpus))
+    _check_dim(n, "graph")
+    for key, (pattern_of, _) in CONSTRUCTIONS.items() if args.m_max else ():
+        _check_dim(pattern_of(args.m_max).copies * n, f"{key} graph")
+    cubes = 1 + sum(pattern_of(m).copies**3 for pattern_of, _ in CONSTRUCTIONS.values()
+                    for m in range(1, args.m_max + 1))
     work = cubes * sum(graph.n**3 for graph, _ in corpus)
     if work > MAX_WORK:
         raise InputError(f"verify's solves would total {work} cubed dimensions, "
@@ -298,16 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = args.func(args)
         sys.stdout.flush()
         return code
     except (InputError, GraphFormatError) as exc:
         print(f"vel {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # the reader closed stdout; the interpreter's final flush of what is
-        # still buffered would raise again, so it goes to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # stdout failed (input fails as InputError); what is still buffered
+        # goes to the null device, where the interpreter's final flush succeeds
+        with contextlib.suppress(AttributeError, OSError):  # None or in memory: no fd
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        if not isinstance(exc, BrokenPipeError):  # the reader closed the pipe
+            print(f"vel {args.command}: error: cannot write output: {exc.strerror or exc}",
+                  file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import errno
 import io
 import json
 import math
@@ -17,7 +19,7 @@ from oracles import reference_format_edge_list
 
 import vel
 from vel.cli import MAX_DERIVED, MAX_WORK, main
-from vel.derived import CONSTRUCTIONS
+from vel.derived import CONSTRUCTIONS, shadow_pattern
 from vel.graphs import (
     Graph,
     format_edge_list,
@@ -420,18 +422,35 @@ def test_verify_rejects_tol_out_of_range(tol, k2_file, capsys):
     assert "--tol" in err
 
 
-@pytest.mark.parametrize("argv,stdin,dim", [
-    (["energy"], "200000 0\n", 200000),
-    (["verify", "-", "--m-max=3000"], K2_EDGELIST, 3001 * 2),
+@pytest.mark.parametrize("argv,stdin,graph,dim", [
+    (["energy"], "200000 0\n", "graph", 200000),
+    (["verify", "-", "--m-max=3000"], K2_EDGELIST, "splitting graph", 3001 * 2),
+    # at m-max 0 only the base graph is solved
+    (["verify", "-", "--m-max=0"], "5000 0\n", "graph", 5000),
     # the 0-vertex graph counts as one vertex, so --m-max stays bounded
-    (["verify", "-", "--m-max=4096"], "0 0\n", 4097),
-    (["verify", "-", f"--m-max={10**30}"], "0 0\n", 10**30 + 1),
-], ids=["energy", "verify", "verify_zero_vertex", "verify_huge_m_max"])
-def test_rejects_dimension_above_limit(argv, stdin, dim, monkeypatch, capsys):
+    (["verify", "-", "--m-max=4096"], "0 0\n", "splitting graph", 4097),
+    (["verify", "-", f"--m-max={10**30}"], "0 0\n", "splitting graph", 10**30 + 1),
+], ids=["energy", "verify", "verify_m_max_0", "verify_zero_vertex", "verify_huge_m_max"])
+def test_rejects_dimension_above_limit(argv, stdin, graph, dim, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert str(dim) in err and "4096" in err and "Traceback" not in err
+    assert err == f"vel {argv[0]}: error: {graph} has dimension {dim}, above the dense limit 4096\n"
+
+
+def test_verify_sizes_its_solves_from_the_construction_table(monkeypatch, capsys):
+    # a construction of 8m copies: K2's at m = 300 has dimension 4800, while
+    # its splitting and shadow graphs and the work budget allow m-max 300
+    def solves(corpus, m_values, tol):
+        raise AssertionError("run_suite was called")
+
+    monkeypatch.setitem(CONSTRUCTIONS, "eightfold", (
+        lambda m: dataclasses.replace(shadow_pattern(m), copies=8 * m), None))
+    monkeypatch.setattr("vel.cli.run_suite", solves)
+    monkeypatch.setattr("sys.stdin", io.StringIO(K2_EDGELIST))
+    code, out, err = run_cli(["verify", "-", "--m-max=300"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: eightfold graph has dimension 4800, above the dense limit 4096" in err
 
 
 @pytest.mark.parametrize("argv, stdin, work", [
@@ -518,6 +537,40 @@ def test_verify_corpus_seed_reaches_corpus(capsys):
                for row in json.loads(out)["results"]["reports"]]
     assert emitted == rows(run_suite(default_corpus(9), (1,)))
     assert emitted != rows(run_suite(default_corpus(42), (1,)))
+
+
+@pytest.mark.parametrize("redirect, error", [
+    ("<&-", "cannot read -: " + os.strerror(errno.EBADF)),
+    (">&-", "cannot write output: " + os.strerror(errno.EBADF)),
+    (">/dev/full", "cannot write output: " + os.strerror(errno.ENOSPC)),
+], ids=["closed-stdin", "closed-stdout", "full-device"])
+def test_failed_stdio_exits_two_with_a_message(redirect, error):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    proc = subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "vel.cli", "energy"],
+        input=K2_EDGELIST.encode(), capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, f"vel energy: error: {error}\n".encode())
+
+
+def test_stdin_none_exits_two_with_a_message(monkeypatch, capsys):
+    # sys.stdin is None when fd 0 was closed at the interpreter's start
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run_cli(["energy"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"vel energy: error: cannot read -: {os.strerror(errno.EBADF)}\n"
+
+
+def test_stdout_write_error_exits_two_with_a_message(k2_file, monkeypatch, capsys):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    assert main(["energy", k2_file]) == 2
+    assert capsys.readouterr().err == (
+        f"vel energy: error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_closed_stdout_exits_two_without_traceback(k2_file):
@@ -616,10 +669,12 @@ def _argvs(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_argvs(), st.one_of(_edge_list_bytes(), _graph6_bytes()))
+@given(_argvs(), st.one_of(_edge_list_bytes(), _graph6_bytes(), st.none()))
 def test_any_argv_and_stdin_end_in_a_result_or_a_message(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
-    with (mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8")),
+    # None stands for a stdin whose fd was closed at the interpreter's start
+    stdin = stdin if stdin is None else io.TextIOWrapper(io.BytesIO(stdin), "utf-8")
+    with (mock.patch("sys.stdin", stdin),
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         try:
             code = main(argv)

@@ -94,6 +94,29 @@ def test_factors_reject_bad_m():
         splitting_pattern(-2)
 
 
+# construction -> the m its pattern factory and its builder both reject
+BAD_M = {"splitting": (0, -1, -2), "shadow": (0, -1)}
+
+
+def test_predictors_reject_bad_m():
+    # the pattern factories, whose patterns the predictors take, and the builders
+    assert set(BAD_M) == set(CONSTRUCTIONS)
+    for op, bad in BAD_M.items():
+        make, build = CONSTRUCTIONS[op]
+        for m in bad:
+            with pytest.raises(ValueError):
+                make(m)
+            with pytest.raises(ValueError):
+                build(K2, m)
+
+
+def test_copies_never_shrink_as_m_grows():
+    # vel verify sizes each construction's largest solve by its pattern at m-max
+    for make, _ in CONSTRUCTIONS.values():
+        copies = [make(m).copies for m in range(1, 51)]
+        assert copies == sorted(copies)
+
+
 def check_factor_identities(m):
     # the product grows like m, so its check is scaled
     alpha_plus, alpha_minus, original, copy = arrow_factors(m)
@@ -393,13 +416,6 @@ def test_predicted_shadow_energies_tiling():
     np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(3), base),
                                   np.tile(base, 3))
     np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(1), base), base)
-
-
-def test_predictors_reject_bad_m():
-    for make in (splitting_pattern, shadow_pattern):
-        for m in (0, -1):
-            with pytest.raises(ValueError):
-                make(m)
 
 
 # ---------------------------------------------------------------------------
