@@ -8,7 +8,8 @@ refuse a dense dimension above 4096 (spectral.MAX_DIM); for verify it is
 the largest solved graph's: n at m-max 0, else copies * n by BlockPattern
 at m-max, with n >= 1, so --m-max <= 4095 on any input.  verify also refuses
 more than MAX_WORK = 2 * MAX_DIM**3 of solver work, the sum of its solves'
-cubed dimensions, before any solve.  derive's --m lies in
+cubed dimensions, before any solve.  Every command refuses an input of more
+than MAX_INPUT_BYTES = 2**27 bytes, reading no further.  derive's --m lies in
 [1, 2**63 - 1], and derive refuses a derived graph with more than
 MAX_DERIVED vertices, edges or graph6 data bytes, before building it.  A
 closed stdin, and a stdout that is closed or fails a write, end the command
@@ -47,6 +48,9 @@ MAX_TOL = 1e-4
 MAX_DERIVED = 500_000
 # verify's solver work: the sum of its solves' cubed dimensions
 MAX_WORK = 2 * MAX_DIM**3
+# the input read: above the ~80 MB edge list of K_4096, the largest graph
+# energy and verify accept
+MAX_INPUT_BYTES = 2**27
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,15 +68,19 @@ def _round15(x: float) -> float:
 
 def _read_source(path: str) -> str:
     """The bytes of path, or of stdin for '-', decoded as strict UTF-8 whatever
-    the locale; an in-memory text stdin (no .buffer) is taken as it is."""
+    the locale; an in-memory text stdin (no .buffer) is taken as it is.  At
+    most MAX_INPUT_BYTES + 1 are read, so an endless stream ends in an error."""
     try:
         if path == "-":
             if sys.stdin is None:  # fd 0 was closed when the interpreter started
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+            data = getattr(sys.stdin, "buffer", sys.stdin).read(MAX_INPUT_BYTES + 1)
         else:
             with open(path, "rb") as handle:
-                data = handle.read()
+                data = handle.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise InputError(f"{path} has at least {len(data)} bytes, "
+                             f"above the input limit {MAX_INPUT_BYTES}")
         return data if isinstance(data, str) else data.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc

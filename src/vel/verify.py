@@ -132,7 +132,7 @@ def run_suite(corpus: Sequence[tuple[Graph, str]],
                 spectrum = graph_spectrum(build(g, m))
                 for law, (keeps_per_vertex, deviations) in _LAWS.items():
                     gaps = deviations(pattern, base, spectrum)
-                    per_vertex = tuple(float(d) for d in gaps) if keeps_per_vertex else None
+                    per_vertex = tuple(gaps.tolist()) if keeps_per_vertex else None
                     reports.append(VerificationReport(
                         f"{construction}_{law}", descriptor, m,
                         float(np.max(gaps, initial=0.0)), tol, per_vertex))

@@ -1,5 +1,7 @@
-"""Independent reference computations shared by the test modules."""
+"""Independent reference computations shared by the test modules, and the
+helper that runs each named row of a fact table as its own test."""
 
+import inspect
 import math
 
 import numpy as np
@@ -239,3 +241,18 @@ def reference_gnp_random_graph(n, p, rng):
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                   if rng.random() < p)
     return Graph(n, edges)
+
+
+def bound_test(check, *args):
+    """check with its leading args bound, as a test function for pytest.
+
+    The parameters of check after args, with its pytest marks, become the
+    test's own: a check under @pytest.mark.parametrize gives a parametrized
+    test, and a @given check draws its remaining arguments.
+    """
+    def test(**params):
+        check(*args, **params)
+    rest = list(inspect.signature(check).parameters.values())[len(args):]
+    test.__signature__ = inspect.Signature(rest)
+    test.pytestmark = getattr(check, "pytestmark", [])
+    return test

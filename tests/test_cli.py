@@ -179,6 +179,40 @@ def test_energy_non_utf8_input(from_stdin, tmp_path, monkeypatch, capsys):
     assert f"{source} is not UTF-8 text: byte 8" in err
 
 
+def _byte_source(source, tmp_path, monkeypatch):
+    """K2_EDGELIST as a file path, or as stdin for '-'."""
+    if source == "-":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(K2_EDGELIST.encode())))
+        return source
+    path = tmp_path / "k2.txt"
+    path.write_text(K2_EDGELIST)
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["file", "-", "/dev/zero"])
+def test_input_above_the_byte_limit_exits_two(source, tmp_path, monkeypatch, capsys):
+    # /dev/zero never ends: only the bounded read keeps it from filling memory
+    limit = len(K2_EDGELIST) - 1
+    monkeypatch.setattr("vel.cli.MAX_INPUT_BYTES", limit)
+    if source == "/dev/zero":
+        if not os.path.exists(source):
+            pytest.skip("no /dev/zero")
+    else:
+        source = _byte_source(source, tmp_path, monkeypatch)
+    code, out, err = run_cli(["energy", source], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"vel energy: error: {source} has at least {limit + 1} bytes, "
+                   f"above the input limit {limit}\n")
+
+
+@pytest.mark.parametrize("source", ["file", "-"])
+def test_input_at_the_byte_limit_is_read(source, tmp_path, monkeypatch, capsys):
+    expected = run_cli(["energy", _byte_source(source, tmp_path, monkeypatch)], capsys)
+    monkeypatch.setattr("vel.cli.MAX_INPUT_BYTES", len(K2_EDGELIST))
+    assert run_cli(["energy", _byte_source(source, tmp_path, monkeypatch)], capsys) == expected
+    assert expected[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # derive
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix, check_blow_up_walks, reference_blow_up
+from oracles import block_matrix, bound_test, check_blow_up_walks, reference_blow_up
 
 from vel.derived import (
     CONSTRUCTIONS,
@@ -30,6 +31,7 @@ from vel.spectral import graph_spectrum, vertex_energies
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
+SQRT13 = math.sqrt(13.0)
 
 K2 = Graph(2, [(0, 1)])
 
@@ -64,34 +66,45 @@ def arrow_factors(m):
     return alpha_plus, alpha_minus, original, copy
 
 
-def test_factors_m1():
-    alpha_plus, alpha_minus, original, copy = arrow_factors(1)
-    assert original == pytest.approx(3.0 / SQRT5, abs=1e-15)
-    assert copy == pytest.approx(2.0 / SQRT5, abs=1e-15)
-    assert alpha_plus == pytest.approx((1.0 + SQRT5) / 2.0, abs=1e-15)
-    assert alpha_minus == pytest.approx((1.0 - SQRT5) / 2.0, abs=1e-15)
+def add_row_tests(table, check):
+    """Run each row of a construction-fact table {construction: {name: row}}
+    as its own test, test_<name>, which calls check(construction, *row).
+    test_every_construction_has_rows checks each table's key set."""
+    for op, named_rows in table.items():
+        for name, row in named_rows.items():
+            assert f"test_{name}" not in globals()
+            globals()[f"test_{name}"] = bound_test(check, op, *row)
 
 
-def test_factors_m2_are_rational():
-    alpha_plus, alpha_minus, original, copy = arrow_factors(2)
-    assert original == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert copy == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert alpha_plus == 2.0
-    assert alpha_minus == -1.0
+# construction -> (m, B's eigenvalue runs, its diag|B| runs, atol), by hand:
+# the arrow's alpha = (1 +- sqrt(4m+1))/2 and factors (2m+1)/sqrt(4m+1) and
+# 2/sqrt(4m+1), all rational at m = 2; J_m's eigenvalues m and 0, diagonal 1
+PATTERN_VALUES = {
+    "splitting": {
+        "factors_m1": (1, (((1.0 + SQRT5) / 2.0, 1), ((1.0 - SQRT5) / 2.0, 1), (0.0, 0)),
+                       ((3.0 / SQRT5, 1), (2.0 / SQRT5, 1)), 1e-15),
+        "factors_m2_are_rational": (2, ((2.0, 1), (-1.0, 1), (0.0, 1)),
+                                    ((5.0 / 3.0, 1), (2.0 / 3.0, 2)), 0.0),
+        "factors_m3": (3, (((1.0 + SQRT13) / 2.0, 1), ((1.0 - SQRT13) / 2.0, 1), (0.0, 2)),
+                       ((7.0 / SQRT13, 1), (2.0 / SQRT13, 3)), 1e-15),
+    },
+    "shadow": {
+        "shadow_factors_m1": (1, ((1.0, 1), (0.0, 0)), ((1.0, 1),), 0.0),
+        "shadow_factors_m2": (2, ((2.0, 1), (0.0, 1)), ((1.0, 2),), 0.0),
+        "shadow_factors_m3": (3, ((3.0, 1), (0.0, 2)), ((1.0, 3),), 0.0),
+    },
+}
 
 
-def test_factors_m3():
-    _, _, original, copy = arrow_factors(3)
-    root13 = math.sqrt(13.0)
-    assert original == pytest.approx(7.0 / root13, abs=1e-15)
-    assert copy == pytest.approx(2.0 / root13, abs=1e-15)
+def check_pattern_values(op, m, spectrum, abs_diagonal, atol):
+    pattern = CONSTRUCTIONS[op][0](m)
+    for got, want in ((pattern.spectrum, spectrum), (pattern.abs_diagonal, abs_diagonal)):
+        assert [k for _, k in got] == [k for _, k in want]
+        np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
+                                   rtol=0, atol=atol)
 
 
-def test_factors_reject_bad_m():
-    with pytest.raises(ValueError):
-        splitting_pattern(0)
-    with pytest.raises(ValueError):
-        splitting_pattern(-2)
+add_row_tests(PATTERN_VALUES, check_pattern_values)
 
 
 # construction -> the m its pattern factory and its builder both reject
@@ -167,23 +180,72 @@ def test_patterns_of_one_m_compare_and_hash_equal(make):
 
 
 # ---------------------------------------------------------------------------
-# m-splitting construction
+# derived graphs
 # ---------------------------------------------------------------------------
 
-def test_splitting_k2_is_labeled_p4():
-    g = m_splitting(K2, 1)
-    assert g.n == 4
-    assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+# construction -> (base, m, derived n, derived edges), written out by hand as
+# the anchor that does not go through np.kron: copy c of vertex v is
+# c * n + v, so Spl_1(K2) is a labeled P4 and D_2(K2) is C4
+SMALL_DERIVED = {
+    "splitting": {
+        "splitting_k2_is_labeled_p4": (K2, 1, 4, [[0, 1], [0, 3], [1, 2]]),
+        "splitting_p3": (path_graph(3), 1, 6,
+                         [[0, 1], [0, 4], [1, 2], [1, 3], [1, 5], [2, 4]]),
+        "splitting_c4_counts": (cycle_graph(4), 1, 8,
+                                [[0, 1], [0, 3], [0, 5], [0, 7], [1, 2], [1, 4],
+                                 [1, 6], [2, 3], [2, 5], [2, 7], [3, 4], [3, 6]]),
+        "splitting_empty_graph": (Graph(3), 2, 9, []),
+    },
+    "shadow": {
+        "shadow_k2_is_c4": (K2, 2, 4, [[0, 1], [0, 3], [1, 2], [2, 3]]),
+        "shadow_p3_counts": (path_graph(3), 2, 6,
+                             [[0, 1], [0, 4], [1, 2], [1, 3], [1, 5], [2, 4], [3, 4], [4, 5]]),
+    },
+}
 
 
-def test_splitting_p3():
-    g = m_splitting(path_graph(3), 1)
-    assert g.n == 6
-    assert g.edges.tolist() == [[0, 1], [0, 4], [1, 2], [1, 3], [1, 5], [2, 4]]
+def check_small_derived_graph(op, g, m, n, edges):
+    derived = CONSTRUCTIONS[op][1](g, m)
+    assert (derived.n, derived.edges.tolist()) == (n, edges)
 
 
-def test_splitting_empty_graph():
-    assert m_splitting(Graph(3), 2) == Graph(9)
+add_row_tests(SMALL_DERIVED, check_small_derived_graph)
+
+
+def test_splitting_no_copy_copy_edges():
+    g = m_splitting(cycle_graph(5), 3)
+    for i, j in g.edges:
+        assert i < 5 or j < 5
+
+
+def test_shadow_m1_identity():
+    for g in SAMPLE_GRAPHS:
+        assert m_shadow(g, 1) == g
+
+
+# construction -> (its B at m, written out by hand; its edges per base edge):
+# the splitting's originals in copy 0, no copy-copy block
+BLOCKS = {
+    "splitting": {"splitting_counts_and_block_structure": (
+        lambda m: np.block([[1, np.ones((1, m))], [np.ones((m, 1)), np.zeros((m, m))]]),
+        lambda m: 2 * m + 1)},
+    "shadow": {"shadow_counts_and_kronecker_structure": (
+        lambda m: np.ones((m, m)), lambda m: m * m)},
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def check_block_structure(op, block, edges_per_base_edge, m):
+    # SAMPLE_GRAPHS holds C4, P3, C5 and the edgeless Graph(3)
+    b = block(m)
+    for g in SAMPLE_GRAPHS:
+        derived = CONSTRUCTIONS[op][1](g, m)
+        assert derived.n == len(b) * g.n
+        assert derived.num_edges == edges_per_base_edge(m) * g.num_edges
+        np.testing.assert_array_equal(adjacency_matrix(derived), np.kron(b, adjacency_matrix(g)))
+
+
+add_row_tests(BLOCKS, check_block_structure)
 
 
 def test_blow_up_is_linear_in_m():
@@ -282,164 +344,85 @@ def test_blow_up_keys_beyond_int64_stay_exact(build, make, m):
     assert derived.num_edges == make(m).block_count * 2
 
 
-def test_splitting_c4_counts():
-    g = m_splitting(cycle_graph(4), 1)
-    assert g.n == 8 and g.num_edges == 12
-
-
-def test_splitting_rejects_bad_m():
-    with pytest.raises(ValueError):
-        m_splitting(K2, 0)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_splitting_counts_and_block_structure(m):
-    ones_row = np.ones((1, m))
-    for g in SAMPLE_GRAPHS:
-        derived = m_splitting(g, m)
-        assert derived.n == g.n * (m + 1)
-        assert derived.num_edges == (2 * m + 1) * g.num_edges
-        a = adjacency_matrix(g)
-        expected = np.block([
-            [a, np.kron(ones_row, a)],
-            [np.kron(ones_row.T, a), np.zeros((m * g.n, m * g.n))],
-        ])
-        np.testing.assert_array_equal(adjacency_matrix(derived), expected)
-
-
-def test_splitting_no_copy_copy_edges():
-    g = m_splitting(cycle_graph(5), 3)
-    for i, j in g.edges:
-        assert i < 5 or j < 5
-
-
 # ---------------------------------------------------------------------------
-# m-shadow construction
+# predictors
 # ---------------------------------------------------------------------------
 
-def test_shadow_k2_is_c4():
-    g = m_shadow(K2, 2)
-    assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+PHI = (1.0 + SQRT5) / 2.0
+P3_ENERGIES = [SQRT2 / 2, SQRT2, SQRT2 / 2]
+
+# construction -> (m, base eigenvalues, the sorted spectrum of B (x) A, atol)
+PREDICTED_SPECTRA = {
+    "splitting": {
+        "predicted_splitting_spectrum_golden": (
+            1, [1.0, -1.0], sorted([PHI, 1.0 - PHI, -PHI, PHI - 1.0]), 1e-15),
+        "predicted_splitting_spectrum_zero_padding": (3, [0.0], np.zeros(4), 0.0),
+        # alpha are 2 and -1 at m = 2
+        "predicted_splitting_spectrum_m2": (
+            2, [SQRT2, 0.0, -SQRT2],
+            sorted([2 * SQRT2, -SQRT2, 0.0, 0.0, -2 * SQRT2, SQRT2, 0.0, 0.0, 0.0]), 1e-15),
+    },
+    "shadow": {
+        "predicted_shadow_spectrum_doubling": (2, [1.0, -1.0], [-2.0, 0.0, 0.0, 2.0], 0.0),
+        "predicted_shadow_spectrum_m1_identity": (
+            1, [0.3, -1.2, 4.0], sorted([0.3, -1.2, 4.0]), 0.0),
+        "predicted_shadow_spectrum_m3": (
+            3, [SQRT2, 0.0, -SQRT2], sorted([3 * SQRT2, 0.0, -3 * SQRT2] + [0.0] * 6), 1e-15),
+    },
+}
+
+# construction -> (m, base vertex energies, those of B (x) A in flat order, atol)
+PREDICTED_ENERGIES = {
+    "splitting": {
+        "predicted_splitting_energies_k2": (
+            1, [1.0, 1.0], [3 / SQRT5, 3 / SQRT5, 2 / SQRT5, 2 / SQRT5], 1e-15),
+        "predicted_splitting_energies_k2_m2": (
+            2, [1.0, 1.0], [5 / 3, 5 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3], 1e-15),
+        "predicted_splitting_energies_zero": (5, [0.0, 0.0, 0.0], np.zeros(18), 0.0),
+    },
+    "shadow": {
+        "predicted_shadow_energies_doubling": (2, [1.0, 1.0], np.ones(4), 0.0),
+        "predicted_shadow_energies_tiling": (3, P3_ENERGIES, np.tile(P3_ENERGIES, 3), 0.0),
+        "predicted_shadow_energies_m1_identity": (1, P3_ENERGIES, P3_ENERGIES, 0.0),
+    },
+}
 
 
-def test_shadow_m1_identity():
-    for g in SAMPLE_GRAPHS:
-        assert m_shadow(g, 1) == g
+def check_prediction(predict, op, m, base, expected, atol):
+    np.testing.assert_allclose(predict(CONSTRUCTIONS[op][0](m), base), expected,
+                               rtol=0, atol=atol)
 
 
-def test_shadow_p3_counts():
-    g = m_shadow(path_graph(3), 2)
-    assert g.n == 6 and g.num_edges == 8
+add_row_tests(PREDICTED_SPECTRA, functools.partial(check_prediction, predicted_spectrum))
+add_row_tests(PREDICTED_ENERGIES, functools.partial(check_prediction, predicted_vertex_energies))
 
 
-def test_shadow_rejects_bad_m():
-    with pytest.raises(ValueError):
-        m_shadow(K2, -1)
+# construction -> E(B) at m, written out: the factor on E(G) in its sum law
+ENERGY_FACTORS = {
+    "splitting": {"splitting_sum_law": (lambda m: math.sqrt(4.0 * m + 1.0),)},
+    "shadow": {"shadow_sum_law": (lambda m: m,)},
+}
 
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_shadow_counts_and_kronecker_structure(m):
-    ones = np.ones((m, m))
-    for g in SAMPLE_GRAPHS:
-        derived = m_shadow(g, m)
-        assert derived.n == m * g.n
-        assert derived.num_edges == m * m * g.num_edges
-        np.testing.assert_array_equal(
-            adjacency_matrix(derived), np.kron(ones, adjacency_matrix(g)))
-
-
-# ---------------------------------------------------------------------------
-# predicted spectra
-# ---------------------------------------------------------------------------
-
-def test_predicted_splitting_spectrum_golden():
-    phi = (1.0 + SQRT5) / 2.0
-    np.testing.assert_allclose(
-        predicted_spectrum(splitting_pattern(1), [1.0, -1.0]),
-        sorted([phi, 1.0 - phi, -phi, phi - 1.0]), atol=1e-15)
-
-
-def test_predicted_splitting_spectrum_zero_padding():
-    np.testing.assert_array_equal(predicted_spectrum(splitting_pattern(3), [0.0]),
-                                  np.zeros(4))
-
-
-def test_predicted_splitting_spectrum_m2():
-    # alpha are 2 and -1 at m=2
-    got = predicted_spectrum(splitting_pattern(2), [SQRT2, 0.0, -SQRT2])
-    expected = sorted([2 * SQRT2, -SQRT2, 0.0, 0.0, -2 * SQRT2, SQRT2, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(got, expected, atol=1e-15)
-
-
-def test_predicted_shadow_spectrum_doubling():
-    np.testing.assert_array_equal(predicted_spectrum(shadow_pattern(2), [1.0, -1.0]),
-                                  [-2.0, 0.0, 0.0, 2.0])
-
-
-def test_predicted_shadow_spectrum_m1_identity():
-    values = [0.3, -1.2, 4.0]
-    np.testing.assert_array_equal(predicted_spectrum(shadow_pattern(1), values),
-                                  sorted(values))
-
-
-def test_predicted_shadow_spectrum_m3():
-    got = predicted_spectrum(shadow_pattern(3), [SQRT2, 0.0, -SQRT2])
-    expected = sorted([3 * SQRT2, 0.0, -3 * SQRT2] + [0.0] * 6)
-    np.testing.assert_allclose(got, expected, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# predicted vertex energies
-# ---------------------------------------------------------------------------
-
-def test_predicted_splitting_energies_k2():
-    np.testing.assert_allclose(
-        predicted_vertex_energies(splitting_pattern(1), [1.0, 1.0]),
-        [3 / SQRT5, 3 / SQRT5, 2 / SQRT5, 2 / SQRT5], atol=1e-15)
-
-
-def test_predicted_splitting_energies_k2_m2():
-    np.testing.assert_allclose(
-        predicted_vertex_energies(splitting_pattern(2), [1.0, 1.0]),
-        [5 / 3, 5 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3], atol=1e-15)
-
-
-def test_predicted_splitting_energies_zero():
-    np.testing.assert_array_equal(
-        predicted_vertex_energies(splitting_pattern(5), [0.0, 0.0, 0.0]), np.zeros(18))
-
-
-def test_predicted_shadow_energies_tiling():
-    np.testing.assert_array_equal(
-        predicted_vertex_energies(shadow_pattern(2), [1.0, 1.0]), np.ones(4))
-    base = [SQRT2 / 2, SQRT2, SQRT2 / 2]
-    np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(3), base),
-                                  np.tile(base, 3))
-    np.testing.assert_array_equal(predicted_vertex_energies(shadow_pattern(1), base), base)
-
-
-# ---------------------------------------------------------------------------
-# sum laws
-# ---------------------------------------------------------------------------
 
 @settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=0, max_size=12),
     st.integers(min_value=1, max_value=6),
 )
-def test_splitting_sum_law(base_energies, m):
-    total = sum(base_energies)
-    predicted = float(np.sum(predicted_vertex_energies(splitting_pattern(m), base_energies)))
-    expected = math.sqrt(4.0 * m + 1.0) * total
+def check_sum_law(op, energy_factor, base_energies, m):
+    expected = energy_factor(m) * sum(base_energies)
+    predicted = float(np.sum(predicted_vertex_energies(CONSTRUCTIONS[op][0](m), base_energies)))
     assert abs(predicted - expected) <= 1e-10 * max(1.0, expected)
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=0, max_size=12),
-    st.integers(min_value=1, max_value=6),
-)
-def test_shadow_sum_law(base_energies, m):
-    total = sum(base_energies)
-    predicted = float(np.sum(predicted_vertex_energies(shadow_pattern(m), base_energies)))
-    assert abs(predicted - m * total) <= 1e-10 * max(1.0, m * total)
+add_row_tests(ENERGY_FACTORS, check_sum_law)
+
+
+@pytest.mark.parametrize("table", [
+    PATTERN_VALUES, SMALL_DERIVED, BLOCKS, PREDICTED_SPECTRA, PREDICTED_ENERGIES, ENERGY_FACTORS],
+    ids=["pattern_values", "small_derived", "blocks", "predicted_spectra",
+         "predicted_energies", "energy_factors"])
+def test_every_construction_has_rows(table):
+    # a new construction fails here until each construction-fact table has its rows
+    assert set(table) == set(CONSTRUCTIONS)
+    assert all(table.values())

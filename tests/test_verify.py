@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bound_test
 
+from vel.derived import CONSTRUCTIONS
 from vel.graphs import Graph, cycle_graph, path_graph, star_graph
 from vel.verify import CLAIM_IDS, default_corpus, run_suite
 
 K2 = Graph(2, [(0, 1)])
-SQRT5 = math.sqrt(5.0)
 
 SMALL_CORPUS = [
     (K2, "K2"),
@@ -29,13 +30,53 @@ def claims(g, m, *claim_ids, **kwargs):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def test_splitting_theorem_k2():
-    report, = claims(K2, 1, "splitting_vertex_energy")
-    assert report.claim_id == "splitting_vertex_energy"
-    assert report.passed
-    assert report.max_abs_deviation < 1e-8
-    assert report.per_vertex_deviations is not None
-    assert len(report.per_vertex_deviations) == 4
+LAWS = ("vertex_energy", "total_energy", "spectrum")
+
+# test name -> the (claim, graph, m, strict bound on max_abs_deviation) rows
+# whose reports pass; the total-energy deviations are relative,
+# E(Spl_1(K2)) = 2*sqrt(5) and D_2(K2) = C4 with every vertex energy 1
+CLAIM_ROWS = {
+    "splitting_theorem_k2": [("splitting_vertex_energy", K2, 1, 1e-8)],
+    "splitting_theorem_empty_graph": [("splitting_vertex_energy", Graph(2), 2, 1e-12)],
+    "shadow_theorem_k2_m2": [("shadow_vertex_energy", K2, 2, 1e-9)],
+    "shadow_theorem_p3_m3": [("shadow_vertex_energy", path_graph(3), 3, math.inf)],
+    "shadow_theorem_m1_near_exact": [("shadow_vertex_energy", cycle_graph(5), 1, 1e-10)],
+    "total_energy_factors_k2": [("splitting_total_energy", K2, 1, 1e-10),
+                                ("shadow_total_energy", K2, 1, math.inf)],
+    "total_energy_factors_shadow_m2": [("shadow_total_energy", K2, 2, math.inf)],
+    "total_energy_factors_empty": [("splitting_total_energy", Graph(4), 3, 1e-12),
+                                   ("shadow_total_energy", Graph(4), 3, 1e-12)],
+    "spectrum_maps_k2_golden": [("splitting_spectrum", K2, 1, math.inf),
+                                ("shadow_spectrum", K2, 1, math.inf)],
+    "spectrum_maps_p3_m2": [("splitting_spectrum", path_graph(3), 2, math.inf),
+                            ("shadow_spectrum", path_graph(3), 2, math.inf)],
+    "energy_partition": [("energy_partition", g, 1, math.inf)
+                         for g in (K2, path_graph(3), Graph(5))],
+}
+
+
+def test_claim_rows_cover_every_construction_and_law():
+    # a new construction fails here until each of its laws has rows
+    covered = {row[0] for rows in CLAIM_ROWS.values() for row in rows}
+    assert covered == {f"{c}_{law}" for c in CONSTRUCTIONS for law in LAWS} | {"energy_partition"}
+
+
+def check_claims(rows):
+    for claim_id, g, m, bound in rows:
+        report, = claims(g, m, claim_id)
+        assert report.passed and report.max_abs_deviation < bound, (claim_id, g, m)
+        per_vertex = report.per_vertex_deviations
+        if claim_id.endswith("_vertex_energy"):
+            pattern = CONSTRUCTIONS[claim_id.removesuffix("_vertex_energy")][0](m)
+            assert len(per_vertex) == pattern.copies * g.n
+            assert max(per_vertex, default=0.0) == report.max_abs_deviation
+        else:
+            assert per_vertex is None
+        assert report.m == (0 if claim_id == "energy_partition" else m)
+
+
+globals().update({f"test_{name}": bound_test(check_claims, rows)
+                  for name, rows in CLAIM_ROWS.items()})
 
 
 def test_splitting_theorem_c4_m3_factors():
@@ -52,71 +93,6 @@ def test_splitting_theorem_c4_m3_factors():
     root13 = math.sqrt(13.0)
     np.testing.assert_allclose(numeric[:4], np.full(4, 7.0 / root13), atol=1e-9)
     np.testing.assert_allclose(numeric[4:], np.full(12, 2.0 / root13), atol=1e-9)
-
-
-def test_splitting_theorem_empty_graph():
-    report, = claims(Graph(2), 2, "splitting_vertex_energy")
-    assert report.passed
-    assert report.max_abs_deviation <= 1e-12
-
-
-def test_shadow_theorem_k2_m2():
-    report, = claims(K2, 2, "shadow_vertex_energy")
-    assert report.claim_id == "shadow_vertex_energy"
-    assert report.passed
-    # D_2(K2) = C4 with all four vertex energies equal to 1
-    assert report.per_vertex_deviations is not None
-    assert max(report.per_vertex_deviations) < 1e-9
-
-
-def test_shadow_theorem_p3_m3():
-    assert claims(path_graph(3), 3, "shadow_vertex_energy")[0].passed
-
-
-def test_shadow_theorem_m1_near_exact():
-    report, = claims(cycle_graph(5), 1, "shadow_vertex_energy")
-    assert report.passed
-    assert report.max_abs_deviation <= 1e-10
-
-
-def test_total_energy_factors_k2():
-    splitting, shadow = claims(K2, 1, "splitting_total_energy", "shadow_total_energy")
-    assert splitting.claim_id == "splitting_total_energy"
-    assert shadow.claim_id == "shadow_total_energy"
-    assert splitting.passed and shadow.passed
-    # E(Spl_1(K2)) = 2*sqrt(5); the report deviation is relative
-    assert splitting.max_abs_deviation < 1e-10
-
-
-def test_total_energy_factors_shadow_m2():
-    shadow, = claims(K2, 2, "shadow_total_energy")
-    assert shadow.passed
-
-
-def test_total_energy_factors_empty():
-    for report in claims(Graph(4), 3, "splitting_total_energy", "shadow_total_energy"):
-        assert report.passed
-        assert report.max_abs_deviation <= 1e-12
-
-
-def test_spectrum_maps_k2_golden():
-    splitting, shadow = claims(K2, 1, "splitting_spectrum", "shadow_spectrum")
-    assert splitting.claim_id == "splitting_spectrum"
-    assert shadow.claim_id == "shadow_spectrum"
-    assert splitting.passed and shadow.passed
-
-
-def test_spectrum_maps_p3_m2():
-    splitting, shadow = claims(path_graph(3), 2, "splitting_spectrum", "shadow_spectrum")
-    assert splitting.passed and shadow.passed
-
-
-def test_energy_partition():
-    for g in (K2, path_graph(3), Graph(5)):
-        report, = claims(g, 1, "energy_partition")
-        assert report.claim_id == "energy_partition"
-        assert report.m == 0
-        assert report.passed
 
 
 def test_failure_is_recorded_not_raised():
