@@ -16,8 +16,8 @@ from .graphs import Graph, adjacency_matrix
 
 EIG_TOL = 1e-12
 MAX_SWEEPS = 100
-# largest dense dimension solved: about 7.5 n x n float64 arrays at the
-# peak, ~960 MiB
+# largest dense dimension solved: about 5.5 n x n float64 arrays at the
+# peak, ~700 MiB
 MAX_DIM = 4096
 
 
@@ -47,7 +47,10 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     off-diagonal pair (p, q) once, as n - 1 rounds of n // 2 disjoint pairs
     (n rounds with one idle slot when n is odd), and each round applies one
     Givens rotation per pair, annihilating every a[p, q] of the round at
-    once.  Sweeps repeat until the off-diagonal Frobenius norm falls below
+    once.  Each rotation is one complex multiply: rows p and q are the real
+    and imaginary parts of a complex scratch array allocated once per solve,
+    and (c + i s)(x_p + i x_q) = (c x_p - s x_q) + i (s x_p + c x_q).
+    Sweeps repeat until the off-diagonal Frobenius norm falls below
     EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  It sweeps a divided by
     the power of two that brings max|a_ij| into [1, 2), so the norms cannot
     overflow, and scales the eigenvalues back exactly; a 0/1 matrix is
@@ -74,6 +77,7 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
     work = a / scale
     spare = np.empty_like(work)  # takes work's transposed copies
+    z = np.empty((n // 2, n), dtype=complex)  # x_p + i x_q per pair
     vt = np.eye(n)  # row i is eigenvector i
     target = EIG_TOL * np.linalg.norm(work)
     # If every |a_pq| <= target/n^2 then the off-diagonal norm is already
@@ -82,11 +86,11 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
 
     rounds = _round_robin(n)
     sweeps = 0
-    while _off_diagonal_norm(work) > target:
+    while _off_diagonal_norm(work, spare) > target:
         if sweeps == MAX_SWEEPS:
             raise JacobiConvergenceError(
                 f"no convergence after {MAX_SWEEPS} sweeps (dim={n})")
-        work, spare = _jacobi_sweep(work, spare, vt, skip, rounds)
+        work, spare = _jacobi_sweep(work, spare, z, vt, skip, rounds)
         sweeps += 1
 
     with np.errstate(over="ignore"):
@@ -104,21 +108,24 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return eigendecompose_symmetric(adjacency_matrix(g))
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _off_diagonal_norm(a: np.ndarray, spare: np.ndarray) -> float:
+    """Frobenius norm of a's off-diagonal part, computed in spare."""
+    np.copyto(spare, a)
+    np.fill_diagonal(spare, 0.0)
+    return float(np.linalg.norm(spare))
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The circle schedule of one sweep as two (rounds, n // 2) index arrays
-    p < q: every pair of 0..n-1 exactly once, the pairs of a round disjoint.
+    """The circle schedule of one sweep as two (rounds, n // 2) int32 index
+    arrays p < q: every pair of 0..n-1 exactly once, the pairs of a round
+    disjoint.  int32 holds every index below MAX_DIM.
 
     The last of n + n % 2 slots stays fixed while the others turn one step
     per round; for odd n that slot is the idle one, and its pairs drop.
     """
     slots = n + n % 2
-    turn = np.arange(slots - 1)[:, None]
-    step = np.arange(1, slots // 2)
+    turn = np.arange(slots - 1, dtype=np.int32)[:, None]
+    step = np.arange(1, slots // 2, dtype=np.int32)
     first = np.concatenate(
         (np.full_like(turn, slots - 1), (turn + step) % (slots - 1)), axis=1)
     second = np.concatenate((turn, (turn - step) % (slots - 1)), axis=1)
@@ -127,13 +134,18 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def _jacobi_sweep(a: np.ndarray, spare: np.ndarray, vt: np.ndarray,
-                  skip: float, rounds: tuple[np.ndarray, np.ndarray],
+def _jacobi_sweep(a: np.ndarray, spare: np.ndarray, z: np.ndarray,
+                  vt: np.ndarray, skip: float,
+                  rounds: tuple[np.ndarray, np.ndarray],
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One sweep over the round-robin rounds.  Rotates the rows of vt in
     place; a and the scratch array spare trade places once per round, and
-    the pair comes back as (rotated a, spare)."""
+    the pair comes back as (rotated a, spare).  z is complex scratch with a
+    row per pair of a round."""
     for p, q in zip(*rounds):
+        # indexing casts an int32 index array to intp on every use: cast
+        # once per round, not at each of the round's twenty-odd indexings
+        p, q = p.astype(np.intp), q.astype(np.intp)
         apq = a[p, q]
         pivot = np.abs(apq) > skip
         if not pivot.all():
@@ -147,31 +159,33 @@ def _jacobi_sweep(a: np.ndarray, spare: np.ndarray, vt: np.ndarray,
         t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
         t = np.where(theta < 0.0, -t, t)
         c = 1.0 / np.sqrt(t * t + 1.0)
-        c, s = c[:, None], (t * c)[:, None]
-        _rotate_rows(a, p, q, c, s)
+        rot = (c + 1j * (t * c))[:, None]
+        zp = z[:p.size]
+        _rotate_rows(a, p, q, rot, zp)
         # a is symmetric, so J^T a J = J^T (J^T a)^T: the column update is
         # a second row update, on a transposed copy.  It goes into spare,
         # not a new array: a fresh n x n array per round cost a one-solve
         # process about 1e6 minor page faults at n = 256.
         np.copyto(spare, a.T)
         a, spare = spare, a
-        _rotate_rows(a, p, q, c, s)
+        _rotate_rows(a, p, q, rot, zp)
         a[p, q] = a[q, p] = 0.0
-        _rotate_rows(vt, p, q, c, s)
+        _rotate_rows(vt, p, q, rot, zp)
     return a, spare
 
 
 def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 c: np.ndarray, s: np.ndarray) -> None:
+                 rot: np.ndarray, z: np.ndarray) -> None:
     """Rows (x_p, x_q) become (c x_p - s x_q, s x_p + c x_q) for every pair
-    of the disjoint index arrays p, q."""
-    xp, xq = x[p], x[q]
-    new_p = xp * c
-    new_p -= s * xq
-    x[p] = new_p
-    xq *= c
-    xq += s * xp
-    x[q] = xq
+    of the disjoint index arrays p, q, where rot = c + i s is a column of
+    one factor per pair: x_p + i x_q goes into the scratch rows z, one
+    complex multiply by rot rotates them, and the real and imaginary parts
+    go back."""
+    z.real = x[p]
+    z.imag = x[q]
+    z *= rot
+    x[p] = z.real
+    x[q] = z.imag
 
 
 def vertex_energies(spectrum: Spectrum) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,12 +146,33 @@ def test_solver_matches_numpy_on_random_symmetric(n, seed):
 @pytest.mark.parametrize("n", range(1, 66))
 def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
     p, q = _round_robin(n)
+    assert p.dtype == q.dtype == np.int32
     assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
     assert (p < q).all() and (q < n).all()
     for round_p, round_q in zip(p, q):
         assert np.unique(np.concatenate((round_p, round_q))).size == 2 * (n // 2)
     pairs = set(zip(p.ravel().tolist(), q.ravel().tolist()))
     assert p.size == len(pairs) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_solver_peak_memory_in_n_by_n_arrays(n):
+    # work, spare, vt, the complex scratch z, the int32 schedule, one
+    # round's gathered rows and the sorted eigenvectors: about 5.5 n x n
+    # float64 arrays.  An n x n temporary in the off-diagonal norm or an
+    # int64 schedule takes a solve past 6.
+    a = adjacency_matrix(gnp_random_graph(n, 0.5, np.random.default_rng(n)))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        eigendecompose_symmetric(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 6.0 * a.nbytes
 
 
 def _assert_matches_scalar_sweeps(a):
