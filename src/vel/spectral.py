@@ -1,4 +1,5 @@
-"""Dense symmetric eigensolver (round-robin Jacobi) and vertex-energy quantities.
+"""Dense symmetric eigensolver (one-sided round-robin Jacobi) and vertex-energy
+quantities.
 
 The energy of vertex k is sum_i |lambda_i| * u_{ik}^2 over the
 eigendecomposition A = U diag(lambda) U^T, i.e. the k-th diagonal entry of
@@ -14,15 +15,14 @@ import numpy as np
 
 from .graphs import Graph, adjacency_matrix
 
-EIG_TOL = 1e-12
 MAX_SWEEPS = 100
-# largest dense dimension solved: about 5.5 n x n float64 arrays at the
-# peak, ~700 MiB
+# largest dense dimension solved: about 4.6 n x n float64 arrays at the
+# peak, ~590 MiB
 MAX_DIM = 4096
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Off-diagonal norm failed to reach target within MAX_SWEEPS sweeps."""
+    """Pairs of rows still rotated after MAX_SWEEPS sweeps."""
 
 
 @dataclass(frozen=True)
@@ -43,24 +43,33 @@ class Spectrum:
 def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a real symmetric matrix.
 
-    Round-robin Jacobi (Brent & Luk 1985): each sweep visits every
-    off-diagonal pair (p, q) once, as n - 1 rounds of n // 2 disjoint pairs
-    (n rounds with one idle slot when n is odd), and each round applies one
-    Givens rotation per pair, annihilating every a[p, q] of the round at
-    once.  Each rotation is one complex multiply: rows p and q are the real
-    and imaginary parts of a complex scratch array allocated once per solve,
-    and (c + i s)(x_p + i x_q) = (c x_p - s x_q) + i (s x_p + c x_q).
-    Sweeps repeat until the off-diagonal Frobenius norm falls below
-    EIG_TOL * ||a||_F, at most MAX_SWEEPS sweeps.  It sweeps a divided by
-    the power of two that brings max|a_ij| into [1, 2), so the norms cannot
-    overflow, and scales the eigenvalues back exactly; a 0/1 matrix is
-    divided by 1.  Eigenvectors are the accumulated rotations, so
-    orthonormality is structural.
+    One-sided Jacobi (Hestenes 1958) on the shifted matrix
+    W = a / scale + s I, s = 2 ||a / scale||_inf + 1, whose eigenvalues
+    sigma = lambda + s all lie in [(s + 1)/2, (3s - 1)/2]: W is positive
+    definite with condition number below 3, also when lambda_min =
+    -||a||_inf, as on a regular bipartite graph.  Rotating rows of W keeps
+    W = Q B for the shifted input B and an orthogonal Q, so once the rows
+    are mutually orthogonal, W W^T = Q B^2 Q^T is diagonal: row i of W is
+    sigma_i times a unit eigenvector, the eigenvalue is ||w_i|| - s and the
+    eigenvector w_i / ||w_i||.  Nothing is accumulated.
+
+    Each sweep visits every pair (p, q) once in the round-robin ordering
+    (Brent & Luk 1985): n - 1 rounds of n // 2 disjoint pairs (n rounds
+    with one idle slot when n is odd).  A round loads z = w_p + i w_q into
+    complex scratch allocated once per solve, and sum_k z_k^2 gives
+    S = (alpha - beta) + 2 i gamma from the rows' squared norms alpha, beta
+    and their dot product gamma.  Multiplying z by e^{i phi}, |phi| <= pi/4,
+    turns S real, so gamma becomes 0.  A pair rotates only while
+    |gamma| > n eps s^2 / 4: n eps bounds the rounding of an n-term dot
+    product, and alpha, beta >= s^2 / 4, so the rows of the last sweep,
+    which rotates nothing, are orthogonal to within n eps.  It works on a
+    divided by the power of two that brings max|a_ij| into [1, 2), so the
+    squared norms cannot overflow, and scales the eigenvalues back exactly;
+    a 0/1 matrix is divided by 1.
 
     Raises ValueError for non-square, empty, non-finite or non-symmetric
     input and for an eigenvalue beyond the float64 range, and
-    JacobiConvergenceError on non-convergence (which cannot occur for
-    finite symmetric input).
+    JacobiConvergenceError if pairs still rotate after MAX_SWEEPS sweeps.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -75,30 +84,29 @@ def eigendecompose_symmetric(a: np.ndarray) -> Spectrum:
 
     # a power of two with max|a| / scale in [1, 2): exact to divide and undo
     scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
-    work = a / scale
-    spare = np.empty_like(work)  # takes work's transposed copies
-    z = np.empty((n // 2, n), dtype=complex)  # x_p + i x_q per pair
-    vt = np.eye(n)  # row i is eigenvector i
-    target = EIG_TOL * np.linalg.norm(work)
-    # If every |a_pq| <= target/n^2 then the off-diagonal norm is already
-    # below target/n, so skipping such pivots cannot stall convergence.
-    skip = target / (n * n)
+    w = a / scale
+    shift = 2.0 * float(np.abs(w).sum(axis=1).max()) + 1.0
+    w[np.diag_indices(n)] += shift
+    z = np.empty((n // 2, n), dtype=complex)  # w_p + i w_q per pair
+    # |gamma| > n eps s^2 / 4, as a bound on |Im S| = 2 |gamma|
+    skip = n * np.finfo(float).eps * shift * shift / 2.0
 
     rounds = _round_robin(n)
-    sweeps = 0
-    while _off_diagonal_norm(work, spare) > target:
-        if sweeps == MAX_SWEEPS:
-            raise JacobiConvergenceError(
-                f"no convergence after {MAX_SWEEPS} sweeps (dim={n})")
-        work, spare = _jacobi_sweep(work, spare, z, vt, skip, rounds)
-        sweeps += 1
+    for _ in range(MAX_SWEEPS + 1):
+        if not _one_sided_sweep(w, z, skip, rounds):
+            break
+    else:
+        raise JacobiConvergenceError(
+            f"no convergence after {MAX_SWEEPS} sweeps (dim={n})")
 
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     with np.errstate(over="ignore"):
-        eigenvalues = np.diag(work) * scale
+        eigenvalues = (norms - shift) * scale
     if not np.isfinite(eigenvalues).all():
         raise ValueError("an eigenvalue is beyond the float64 range")
     order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], vt[order].T)
+    w /= norms[:, None]
+    return Spectrum(eigenvalues[order], w[order].T)
 
 
 def graph_spectrum(g: Graph) -> Spectrum:
@@ -106,13 +114,6 @@ def graph_spectrum(g: Graph) -> Spectrum:
     if g.n == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 0)))
     return eigendecompose_symmetric(adjacency_matrix(g))
-
-
-def _off_diagonal_norm(a: np.ndarray, spare: np.ndarray) -> float:
-    """Frobenius norm of a's off-diagonal part, computed in spare."""
-    np.copyto(spare, a)
-    np.fill_diagonal(spare, 0.0)
-    return float(np.linalg.norm(spare))
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,58 +135,33 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def _jacobi_sweep(a: np.ndarray, spare: np.ndarray, z: np.ndarray,
-                  vt: np.ndarray, skip: float,
-                  rounds: tuple[np.ndarray, np.ndarray],
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep over the round-robin rounds.  Rotates the rows of vt in
-    place; a and the scratch array spare trade places once per round, and
-    the pair comes back as (rotated a, spare).  z is complex scratch with a
-    row per pair of a round."""
+def _one_sided_sweep(w: np.ndarray, z: np.ndarray, skip: float,
+                     rounds: tuple[np.ndarray, np.ndarray]) -> bool:
+    """One sweep over the round-robin rounds, rotating rows of w in place;
+    whether any pair rotated.  A pair rotates while |Im S| = 2 |gamma|
+    exceeds skip.  z is complex scratch with a row per pair of a round."""
+    rotated = False
     for p, q in zip(*rounds):
         # indexing casts an int32 index array to intp on every use: cast
-        # once per round, not at each of the round's twenty-odd indexings
+        # once per round
         p, q = p.astype(np.intp), q.astype(np.intp)
-        apq = a[p, q]
-        pivot = np.abs(apq) > skip
-        if not pivot.all():
-            p, q, apq = p[pivot], q[pivot], apq[pivot]
-            if not p.size:
-                continue
-        # The scaling and the rotations keep 1 <= ||a||_F < 2n, so
-        # |a_qq - a_pp| < 4n and |a_pq| > skip >= 1e-12 / n^2: then
-        # |theta| < 2 n^3 1e12, and theta * theta cannot overflow.
-        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-        t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-        t = np.where(theta < 0.0, -t, t)
-        c = 1.0 / np.sqrt(t * t + 1.0)
-        rot = (c + 1j * (t * c))[:, None]
         zp = z[:p.size]
-        _rotate_rows(a, p, q, rot, zp)
-        # a is symmetric, so J^T a J = J^T (J^T a)^T: the column update is
-        # a second row update, on a transposed copy.  It goes into spare,
-        # not a new array: a fresh n x n array per round cost a one-solve
-        # process about 1e6 minor page faults at n = 256.
-        np.copyto(spare, a.T)
-        a, spare = spare, a
-        _rotate_rows(a, p, q, rot, zp)
-        a[p, q] = a[q, p] = 0.0
-        _rotate_rows(vt, p, q, rot, zp)
-    return a, spare
-
-
-def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 rot: np.ndarray, z: np.ndarray) -> None:
-    """Rows (x_p, x_q) become (c x_p - s x_q, s x_p + c x_q) for every pair
-    of the disjoint index arrays p, q, where rot = c + i s is a column of
-    one factor per pair: x_p + i x_q goes into the scratch rows z, one
-    complex multiply by rot rotates them, and the real and imaginary parts
-    go back."""
-    z.real = x[p]
-    z.imag = x[q]
-    z *= rot
-    x[p] = z.real
-    x[q] = z.imag
+        zp.real = w[p]
+        zp.imag = w[q]
+        s = np.einsum("ij,ij->i", zp, zp)  # (alpha - beta) + 2i gamma
+        turn = np.abs(s.imag) > skip
+        if not turn.any():
+            continue
+        if not turn.all():
+            # masked, so no pair with S = 0 reaches the division
+            p, q, zp, s = p[turn], q[turn], zp[turn], s[turn]
+        # e^{2i phi} = conj(S) sign(Re S) / |S| makes e^{2i phi} S real, and
+        # its principal square root has |phi| <= pi/4
+        zp *= np.sqrt(s.conj() * np.copysign(1.0, s.real) / np.abs(s))[:, None]
+        w[p] = zp.real
+        w[q] = zp.imag
+        rotated = True
+    return rotated
 
 
 def vertex_energies(spectrum: Spectrum) -> np.ndarray:

@@ -7,7 +7,10 @@ import math
 import numpy as np
 
 from vel.graphs import Graph, GraphFormatError
-from vel.spectral import EIG_TOL, MAX_SWEEPS, Spectrum
+from vel.spectral import MAX_SWEEPS, Spectrum
+
+# the scalar sweep's relative off-diagonal stop tolerance
+EIG_TOL = 1e-12
 
 
 def matrix_abs_diagonal(spectrum):
@@ -184,8 +187,9 @@ def reference_blow_up(g, pattern):
 
 def reference_jacobi_sweep(a, v, skip):
     """One cyclic-by-row Jacobi sweep, a scalar Givens rotation per pair
-    (p, q) in row order, rotating a in place and the columns of v: the sweep
-    that spectral._jacobi_sweep's round-robin rounds must agree with."""
+    (p, q) in row order, rotating a in place and the columns of v: a
+    two-sided sweep, whose solve spectral's one-sided round-robin solver must
+    agree with."""
     n = a.shape[0]
     for p in range(n - 1):
         for q in range(p + 1, n):
@@ -218,8 +222,9 @@ def reference_jacobi_sweep(a, v, skip):
 
 
 def reference_eigendecompose(a):
-    """eigendecompose_symmetric's scaling and stop test around
-    reference_jacobi_sweep, for finite symmetric a of dimension >= 1."""
+    """eigendecompose_symmetric's scaling around reference_jacobi_sweep, which
+    stops at the relative off-diagonal tolerance EIG_TOL, for finite
+    symmetric a of dimension >= 1."""
     n = a.shape[0]
     scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max()))[1] - 1)
     work = a / scale

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import matrix_abs_diagonal, reference_eigendecompose
+from vel.derived import m_shadow, m_splitting
 from vel.graphs import (
     Graph,
     adjacency_matrix,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     gnp_random_graph,
@@ -157,10 +159,10 @@ def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
 
 @pytest.mark.parametrize("n", [96, 128])
 def test_solver_peak_memory_in_n_by_n_arrays(n):
-    # work, spare, vt, the complex scratch z, the int32 schedule, one
-    # round's gathered rows and the sorted eigenvectors: about 5.5 n x n
-    # float64 arrays.  An n x n temporary in the off-diagonal norm or an
-    # int64 schedule takes a solve past 6.
+    # the shifted rows w, the complex scratch z, the int32 schedule, one
+    # round's gathered rows and masked pairs, and the sorted eigenvectors:
+    # about 4.6 n x n float64 arrays.  A second n x n array kept through the
+    # sweeps, such as accumulated eigenvectors, takes a solve past 5.
     a = adjacency_matrix(gnp_random_graph(n, 0.5, np.random.default_rng(n)))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -172,13 +174,13 @@ def test_solver_peak_memory_in_n_by_n_arrays(n):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 6.0 * a.nbytes
+    assert peak < 5.0 * a.nbytes
 
 
 def _assert_matches_scalar_sweeps(a):
-    """The round-robin solve of a agrees with the scalar cyclic-by-row one
-    on eigenvalues and vertex energies within 1e-12 max(1, rho), and raises
-    no warning."""
+    """The one-sided round-robin solve of a agrees with the two-sided scalar
+    cyclic-by-row one on eigenvalues and vertex energies within
+    1e-12 max(1, rho), and raises no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ours = eigendecompose_symmetric(a)
@@ -205,6 +207,78 @@ def test_round_robin_matches_scalar_sweeps_on_wide_range_entries(n, seed):
     upper = np.triu(rng.choice((-1.0, 1.0), size=(n, n))
                     * 10.0 ** rng.uniform(-150.0, 150.0, size=(n, n)))
     _assert_matches_scalar_sweeps(upper + np.triu(upper, 1).T)
+
+
+def _assert_orthonormal(a):
+    """The solve of a raises no warning and its eigenvectors are orthonormal
+    to within 6 n eps.
+
+    The last sweep rotates no pair, so every computed |gamma| = |w_p . w_q|
+    is at most n eps s^2 / 4 <= n eps ||w_p|| ||w_q||, since every row has
+    ||w|| >= sigma_min >= s / 2.  The computed dot product is off by at most
+    n eps ||w_p|| ||w_q|| (an n-term sum), so the cosine of any two rows is
+    below 2 n eps.  Dividing by the computed norms adds (n + 2) eps at most,
+    and forming V^T V here another n eps: |V^T V - I| <= (3n + 3) eps
+    off the diagonal and (2n + 2) eps on it, both within 6 n eps for n >= 1.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = eigendecompose_symmetric(a).eigenvectors
+    n = a.shape[0]
+    assert np.max(np.abs(u.T @ u - np.eye(n))) <= 6 * n * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_one_sided_rows_are_orthonormal_on_graphs(n, p, seed):
+    _assert_orthonormal(
+        adjacency_matrix(gnp_random_graph(n, p, np.random.default_rng(seed))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=10**6))
+def test_one_sided_rows_are_orthonormal_on_wide_range_entries(n, seed):
+    # magnitudes log-uniform over [1e-150, 1e150], random signs
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice((-1.0, 1.0), size=(n, n))
+                    * 10.0 ** rng.uniform(-150.0, 150.0, size=(n, n)))
+    _assert_orthonormal(upper + np.triu(upper, 1).T)
+
+
+_BIPARTITE = {f"K{a},{a}": complete_bipartite_graph(a, a) for a in (1, 2, 3, 5)} | {
+    f"C{2 * k}": cycle_graph(2 * k) for k in (2, 3, 5, 8)}
+
+
+_BIPARTITE |= {f"{name} {m}-{op}": build(g, m) for name, g in list(_BIPARTITE.items())
+               for op, build, ms in (("shadow", m_shadow, (2, 3)),
+                                     ("splitting", m_splitting, (1, 2)))
+               for m in ms}
+
+
+@pytest.mark.parametrize("g", _BIPARTITE.values(), ids=_BIPARTITE.keys())
+def test_shift_keeps_bipartite_graphs_definite(g):
+    # a regular bipartite graph, and each shadow of one, has lambda_min =
+    # -||A||_inf, so a shift of ||A||_inf alone would leave a singular W
+    # with a zero row; the splittings are bipartite but not regular
+    a = adjacency_matrix(g)
+    degrees = a.sum(axis=1)
+    if np.ptp(degrees) == 0:
+        assert np.linalg.eigvalsh(a)[0] == pytest.approx(-degrees[0], abs=1e-12)
+    _assert_matches_scalar_sweeps(a)
+    _assert_orthonormal(a)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((4, 4)), 3.0 * np.eye(5), adjacency_matrix(Graph(4, [(0, 1)])),
+], ids=["zeros", "3I", "K2+2K1"])
+def test_pairs_with_zero_s_are_masked_without_warning(a):
+    # rows of equal norm that are already orthogonal give S = 0, and 0 / 0
+    # if such a pair reached the rotation's division in a round where
+    # another pair rotates
+    _assert_orthonormal(a)
+    np.testing.assert_allclose(eigendecompose_symmetric(a).eigenvalues,
+                               np.linalg.eigvalsh(a), rtol=0, atol=1e-15)
 
 
 def test_spectrum_shape_validation():
