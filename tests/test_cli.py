@@ -75,8 +75,9 @@ def test_energy_graph6_stdin(monkeypatch, capsys):
 def test_energy_p3_text(p3_file, capsys):
     code, out, _ = run_cli(["energy", p3_file], capsys)
     assert code == 0
-    assert "0.707106781186547" in out
-    assert "1.41421356237309" in out
+    # the closed form: E = (sqrt(2)/2, sqrt(2), sqrt(2)/2) at 15 digits
+    assert f"{math.sqrt(0.5):.15g}" in out
+    assert f"{math.sqrt(2.0):.15g}" in out
     assert out.strip().splitlines()[-1].startswith("total")
 
 
