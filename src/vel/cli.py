@@ -42,9 +42,8 @@ from .spectral import MAX_DIM, graph_energy, graph_spectrum, vertex_energies
 from .verify import DEFAULT_TOL, default_corpus, run_suite
 
 SCHEMA_VERSION = "1.0"
-# inputs.eig_tol of schema 1.0: the stop tolerance of the two-sided Jacobi
-# solver the schema was written for, kept byte-identical; the solver's own
-# stop test no longer reads it
+# inputs.eig_tol of schema 1.0, kept byte-identical: the stop tolerance of
+# the two-sided Jacobi solver that the schema was written for
 SCHEMA_EIG_TOL = 1e-12
 # every nonzero vertex energy of a graph within MAX_DIM exceeds 1/(n-1) > 2.4e-4
 MAX_TOL = 1e-4

@@ -211,21 +211,23 @@ def test_round_robin_matches_scalar_sweeps_on_wide_range_entries(n, seed):
 
 def _assert_orthonormal(a):
     """The solve of a raises no warning and its eigenvectors are orthonormal
-    to within 6 n eps.
+    to within 3 n eps.
 
-    The last sweep rotates no pair, so every computed |gamma| = |w_p . w_q|
-    is at most n eps s^2 / 4 <= n eps ||w_p|| ||w_q||, since every row has
-    ||w|| >= sigma_min >= s / 2.  The computed dot product is off by at most
-    n eps ||w_p|| ||w_q|| (an n-term sum), so the cosine of any two rows is
-    below 2 n eps.  Dividing by the computed norms adds (n + 2) eps at most,
-    and forming V^T V here another n eps: |V^T V - I| <= (3n + 3) eps
-    off the diagonal and (2n + 2) eps on it, both within 6 n eps for n >= 1.
+    With u = eps / 2: the last sweep rotates no pair, so each computed
+    |gamma| = |w_p . w_q| is at most n eps s^2 / 4 <= n eps ||w_p|| ||w_q||,
+    as every row has ||w|| >= sigma_min >= s / 2, and the n-term dot product
+    is off by at most n u ||w_p|| ||w_q||: two rows have a cosine below
+    1.5 n eps.  Dividing each entry by its row's norm adds eps to a dot
+    product of two rows, and forming V^T V here n u, so |V^T V - I| <=
+    (2n + 1) eps off the diagonal.  On it, the computed norm's relative
+    error (n + 1) u / 2, twice over, the division and V^T V give at most
+    (n + 2) eps.  Both are within 3 n eps for n >= 1.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = eigendecompose_symmetric(a).eigenvectors
     n = a.shape[0]
-    assert np.max(np.abs(u.T @ u - np.eye(n))) <= 6 * n * np.finfo(float).eps
+    assert np.max(np.abs(u.T @ u - np.eye(n))) <= 3 * n * np.finfo(float).eps
 
 
 @settings(max_examples=40, deadline=None)
